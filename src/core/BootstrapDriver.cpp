@@ -33,7 +33,9 @@ void core::detail::submitClusterJobOrThrow(ThreadPool &Pool,
 
 BootstrapDriver::BootstrapDriver(const Program &P, BootstrapOptions Opts)
     : Prog(P), Opts(std::move(Opts)), CG(P) {
-  if (this->Opts.SummaryCache || this->Opts.RelevantSliceCache)
+  // Exact-program run keys and slice-cache keys embed the program
+  // fingerprint; scope-keyed runs without a slice cache never read it.
+  if (!this->Opts.ScopedSummaryKeys || this->Opts.RelevantSliceCache)
     ProgFP = programFingerprint(P);
 }
 
@@ -280,26 +282,16 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
   R.CostKey = clusterCostKey(Prog, C);
   Timer T;
 
-  support::Digest Key{0, 0};
-  support::Digest ScopeKey{0, 0};
-  const bool UseScope = Opts.SummaryCache && Opts.ScopedSummaryKeys;
-  bool ScopeKeyComputed = false;
+  // One key per run: the dependency-scope key when runs must survive
+  // edits (IncrementalDriver), the exact-program key otherwise.
+  // Recorded even without a cache so snapshots and the race checker
+  // address this run by the same key.
+  R.RunKey = Opts.ScopedSummaryKeys
+                 ? clusterScopeKey(Prog, CG, *Steens, C, Opts.EngineOpts)
+                 : fscs::clusterSummaryKey(ProgFP, C, Opts.EngineOpts);
   if (Opts.SummaryCache) {
-    Key = fscs::clusterSummaryKey(ProgFP, C, Opts.EngineOpts);
-    std::shared_ptr<const fscs::CachedClusterRun> Hit =
-        Opts.SummaryCache->lookup(Key);
-    if (!Hit && UseScope) {
-      // Exact-program miss: the cluster may still be untouched by
-      // whatever edit separates this program from the one that filled
-      // the cache. The dependency-scope key hashes everything the run
-      // can observe, so a hit here replays just as soundly.
-      ScopeKey = clusterScopeKey(Prog, CG, *Steens, C, Opts.EngineOpts);
-      ScopeKeyComputed = true;
-      Hit = Opts.SummaryCache->lookup(ScopeKey);
-      if (Hit) // Republish under this program's exact key.
-        Opts.SummaryCache->insertAlias(Key, Hit);
-    }
-    if (Hit) {
+    if (std::shared_ptr<const fscs::CachedClusterRun> Hit =
+            Opts.SummaryCache->lookup(R.RunKey)) {
       // Replay the memoized run: identical metrics, identical global
       // statistics contributions, no SummaryEngine re-execution.
       fillClusterMetrics(R, Hit->Stats, Hit->Dove);
@@ -343,13 +335,7 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
     Run.Engine = AA.engine().exportState();
     Run.Dove = AA.dovetailStats();
     Run.Stats = ES;
-    std::shared_ptr<const fscs::CachedClusterRun> Stored =
-        Opts.SummaryCache->insert(Key, std::move(Run));
-    if (UseScope) {
-      if (!ScopeKeyComputed)
-        ScopeKey = clusterScopeKey(Prog, CG, *Steens, C, Opts.EngineOpts);
-      Opts.SummaryCache->insertAlias(ScopeKey, std::move(Stored));
-    }
+    Opts.SummaryCache->insert(R.RunKey, std::move(Run));
   }
   return R;
 }

@@ -104,11 +104,12 @@ struct BootstrapOptions {
   std::function<void(const Cluster &)> ClusterHook;
 
   /// Cross-cluster FSCS memoization (null = disabled). Shared between
-  /// cluster workers and, because entries are keyed by a program
-  /// fingerprint, safely shareable across driver instances and across
-  /// programs: overlapping covers and repeated ablation configurations
-  /// hit the cache instead of re-running SummaryEngine. A hit replays
-  /// bit-identical per-cluster metrics and global statistics.
+  /// cluster workers and, because entries are content-keyed (see
+  /// ScopedSummaryKeys), safely shareable across driver instances and
+  /// across programs: overlapping covers and repeated ablation
+  /// configurations hit the cache instead of re-running SummaryEngine.
+  /// A hit replays bit-identical per-cluster metrics and global
+  /// statistics.
   std::shared_ptr<fscs::SummaryCache> SummaryCache;
 
   /// Algorithm-1 result memoization (null = disabled), keyed the same
@@ -121,12 +122,14 @@ struct BootstrapOptions {
   /// on the One-Flow fall-through pieces too.
   std::shared_ptr<RefinementCache> AndersenRefinementCache;
 
-  /// Additionally key summary-cache entries by the cluster's
-  /// *dependency scope* (core/ClusterDependencies.h), not just the
-  /// whole-program fingerprint. Scope keys survive edits outside a
-  /// cluster's dependency cone, which is what makes re-analysis after
-  /// a program edit incremental. Requires SummaryCache; ignored
-  /// without one.
+  /// Which key every cluster run is recorded and memoized under
+  /// (ClusterRunResult::RunKey). False: the exact-program key
+  /// (fscs::clusterSummaryKey), cheap and valid for one program
+  /// version -- what one-shot cascades need. True: the cluster's
+  /// *dependency-scope* key (core/ClusterDependencies.h), which costs
+  /// more to derive but survives edits outside the cluster's
+  /// dependency cone -- what makes IncrementalDriver's re-analysis
+  /// incremental (it forces this on).
   bool ScopedSummaryKeys = false;
 
   /// Solved Steensgaard instance (over a previous program version) to
@@ -185,6 +188,11 @@ struct ClusterRunResult {
   /// Served from the summary cache (all non-timing fields replayed from
   /// the memoized run; Seconds measures the lookup instead).
   bool FromCache = false;
+  /// The one summary-cache key of this run (see
+  /// BootstrapOptions::ScopedSummaryKeys), derived by the driver even
+  /// without a cache attached. Consumers -- snapshot adoption, the race
+  /// checker's facts keys -- read it instead of re-deriving it.
+  support::Digest RunKey;
 };
 
 /// Whole-pipeline outcome: the raw material of a Table 1 row.
@@ -278,8 +286,9 @@ private:
   std::unique_ptr<analysis::SteensgaardAnalysis> Steens;
   double AndersenSeconds = 0;
   double OneFlowSecs = 0;
-  /// Program content fingerprint for cache keys; computed once in the
-  /// constructor when a cache is attached (0 otherwise).
+  /// Program content fingerprint for exact-program run keys and slice
+  /// cache keys; computed once in the constructor when either needs it
+  /// (0 otherwise).
   uint64_t ProgFP = 0;
 };
 

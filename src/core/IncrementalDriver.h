@@ -15,10 +15,10 @@
 ///    (ir::partitionRelevantFingerprint gate),
 ///  * Andersen refinements of oversized partitions replay from the
 ///    content-addressed RefinementCache, and
-///  * per-cluster FSCS runs replay from the SummaryCache through
-///    dependency-scope keys (core/ClusterDependencies.h): only the
-///    clusters whose dependency cone touches an edited function miss
-///    and re-analyze.
+///  * per-cluster FSCS runs replay from the SummaryCache, where every
+///    run lives under its one dependency-scope key
+///    (core/ClusterDependencies.h): only the clusters whose dependency
+///    cone touches an edited function miss and re-analyze.
 ///
 /// Everything reused is content-addressed, so the produced
 /// BootstrapResult is *byte-identical* (module wall-clock timings and
@@ -51,7 +51,7 @@ struct UpdateReport {
   uint32_t NumClusters = 0;
   /// Clusters that actually re-ran SummaryEngine this update.
   uint32_t ClustersReanalyzed = 0;
-  /// Clusters replayed from the summary cache (exact or scoped key).
+  /// Clusters replayed from the summary cache (by scope key).
   uint32_t ClustersFromCache = 0;
   /// Upper bound from the dependency index: clusters whose dependency
   /// cone contains an edited (changed/added) function. Every actually
@@ -77,7 +77,9 @@ class IncrementalDriver {
 public:
   /// \p Opts is the per-version driver configuration. SummaryCache and
   /// AndersenRefinementCache are created if absent; ScopedSummaryKeys
-  /// is forced on (it is the mechanism of incrementality).
+  /// is forced on, so every run is memoized -- and, with a store,
+  /// persisted -- under its scope key only (that key is the mechanism
+  /// of incrementality).
   explicit IncrementalDriver(BootstrapOptions Opts);
 
   /// Analyzes \p NewProg, reusing whatever the fingerprints prove

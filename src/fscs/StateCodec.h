@@ -8,9 +8,10 @@
 /// Versioned binary codec for CachedClusterRun -- the SummaryEngine
 /// State (keys, summary tuples, worklists, FSCI memo) plus the dovetail
 /// and engine accounting a cache hit replays. This is the payload the
-/// persistent CacheStore holds under clusterSummaryKey digests, so a
-/// restarted process (or a freshly onboarded tenant) can import whole
-/// cluster fixpoints instead of re-solving them.
+/// persistent CacheStore holds under each run's summary-cache key
+/// (core::ClusterRunResult::RunKey), so a restarted process (or a
+/// freshly onboarded tenant) can import whole cluster fixpoints instead
+/// of re-solving them.
 ///
 /// Encoding is deterministic: the unordered hash sets inside KeyState
 /// are serialized sorted, and the std::maps in their natural order, so

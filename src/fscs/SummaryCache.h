@@ -51,7 +51,10 @@ struct CachedClusterRun {
 /// Content-addressed digest of everything a per-cluster FSCS run
 /// depends on: the program (by fingerprint), the cluster's members,
 /// relevant-statement slice and tracked refs, and the
-/// summary-affecting engine options.
+/// summary-affecting engine options. This is the exact-program run key;
+/// BootstrapDriver picks it or the dependency-scope key
+/// (core::clusterScopeKey) per BootstrapOptions::ScopedSummaryKeys and
+/// is the only place either is derived for caching.
 support::Digest clusterSummaryKey(uint64_t ProgramFingerprint,
                                   const core::Cluster &C,
                                   const SummaryEngine::Options &Opts);
@@ -69,17 +72,6 @@ public:
   insert(const support::Digest &K, CachedClusterRun Run) {
     uint64_t Bytes = Run.approxBytes();
     return Cache.insert(K, std::move(Run), Bytes);
-  }
-
-  /// Publishes an already-cached run under an additional key. The
-  /// incremental driver stores every run under both its exact-program
-  /// key and its dependency-scope key (core/ClusterDependencies.h);
-  /// aliasing shares the payload instead of duplicating it, and the
-  /// byte gauge is charged only once.
-  std::shared_ptr<const CachedClusterRun>
-  insertAlias(const support::Digest &K,
-              std::shared_ptr<const CachedClusterRun> Run) {
-    return Cache.insertShared(K, std::move(Run), /*ApproxBytes=*/0);
   }
 
   /// Attaches \p Store as the persistent tier (see

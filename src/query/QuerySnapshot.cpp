@@ -2,7 +2,6 @@
 
 #include "query/QuerySnapshot.h"
 
-#include "core/RelevantStatements.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -71,6 +70,7 @@ QuerySnapshot::build(std::shared_ptr<const ir::Program> P,
                      QueryOptions Opts,
                      std::shared_ptr<fscs::SummaryCache> Cache) {
   assert(P && "snapshot needs a program");
+  assert(Runs && "snapshot needs the cascade's per-cluster results");
   return std::shared_ptr<const QuerySnapshot>(
       new QuerySnapshot(std::move(P), std::move(Cover), Runs,
                         std::move(Opts), std::move(Cache)));
@@ -84,8 +84,6 @@ QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
     : Prog(std::move(P)), Cover(std::move(CoverIn)), Opts(std::move(OptsIn)),
       Cache(std::move(CacheIn)), CG(*Prog), Steens(*Prog) {
   Steens.run();
-  if (Cache)
-    ProgFP = core::programFingerprint(*Prog);
 
   // Inverted pointer -> cluster index. Cluster ids are appended in
   // ascending order, so every per-variable list comes out sorted.
@@ -95,17 +93,17 @@ QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
       if (M < VarClusters.size())
         VarClusters[M].push_back(CI);
 
-  NeedsFallback.assign(Cover.size(), 0);
-  if (Runs) {
-    assert(Runs->size() == Cover.size() &&
-           "run results must align index-for-index with the cover");
-    for (uint32_t CI = 0; CI < Cover.size(); ++CI) {
-      const core::ClusterRunResult &R = (*Runs)[CI];
-      // A truncated run may have *lost* alias origins (it never invents
-      // them), so its "no alias" verdicts are untrustworthy; route the
-      // whole cluster through the fallback chain.
-      NeedsFallback[CI] = (R.BudgetHit || R.Approximated) ? 1 : 0;
-    }
+  assert(Runs->size() == Cover.size() &&
+         "run results must align index-for-index with the cover");
+  NeedsFallback.resize(Cover.size());
+  RunKeys.resize(Cover.size());
+  for (uint32_t CI = 0; CI < Cover.size(); ++CI) {
+    const core::ClusterRunResult &R = (*Runs)[CI];
+    // A truncated run may have *lost* alias origins (it never invents
+    // them), so its "no alias" verdicts are untrustworthy; route the
+    // whole cluster through the fallback chain.
+    NeedsFallback[CI] = (R.BudgetHit || R.Approximated) ? 1 : 0;
+    RunKeys[CI] = R.RunKey;
   }
 }
 
@@ -159,10 +157,8 @@ QuerySnapshot::materialize(uint32_t ClusterIdx) const {
     NumMaterializations.fetch_add(1, std::memory_order_relaxed);
     bool Adopted = false;
     if (Cache) {
-      support::Digest Key =
-          fscs::clusterSummaryKey(ProgFP, Cover[ClusterIdx], Opts.EngineOpts);
       if (std::shared_ptr<const fscs::CachedClusterRun> Hit =
-              Cache->lookup(Key)) {
+              Cache->lookup(RunKeys[ClusterIdx])) {
         fscs::SummaryEngine::State S = Hit->Engine;
         AA->adoptState(std::move(S), Hit->Dove);
         NumCacheAdoptions.fetch_add(1, std::memory_order_relaxed);

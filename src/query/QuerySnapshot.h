@@ -89,8 +89,8 @@ struct QueryOptions {
   bool UseAndersenFallback = true;
 
   /// Engine options for materializing cluster analyses. Must equal the
-  /// options the cascade ran with for SummaryCache adoption to hit
-  /// (AliasService enforces this).
+  /// options the cascade ran with: materialization adopts the cascade's
+  /// cached runs by the keys it recorded (AliasService enforces this).
   fscs::SummaryEngine::Options EngineOpts;
 
   /// Solver options for the whole-program Andersen fallback. Synced
@@ -181,12 +181,12 @@ ir::LocId canonicalAliasLoc(const ir::Program &P, ir::VarId A, ir::VarId B);
 /// plus the pending full walks) moves Partial entries to Full in place.
 class QuerySnapshot : public std::enable_shared_from_this<QuerySnapshot> {
 public:
-  /// Builds a snapshot over \p Cover. \p Runs, when non-null, must be
+  /// Builds a snapshot over \p Cover. \p Runs is required and must be
   /// aligned index-for-index with \p Cover (BootstrapResult::Clusters
-  /// after runAll over the same cover) and supplies the
-  /// BudgetHit/Approximated serving flags; null means every cluster is
-  /// trusted at FSCS precision. \p Cache, when non-null, lets
-  /// materialization replay the cascade's memoized per-cluster runs.
+  /// after runAll over the same cover); it supplies the
+  /// BudgetHit/Approximated serving flags and each cluster's RunKey.
+  /// \p Cache, when non-null, lets materialization replay the
+  /// cascade's memoized per-cluster runs under those keys.
   static std::shared_ptr<const QuerySnapshot>
   build(std::shared_ptr<const ir::Program> P,
         std::vector<core::Cluster> Cover,
@@ -227,12 +227,18 @@ public:
   const std::vector<core::Cluster> &cover() const { return Cover; }
   const QueryOptions &options() const { return Opts; }
 
-  /// The snapshot's own (already solved) call graph and Steensgaard
-  /// view of the program -- for clients that derive invalidation keys
-  /// over the same inputs serving reads (e.g. the race checker's
-  /// cluster scope keys).
+  /// The summary-cache key the cascade recorded for cluster \p Idx
+  /// (core::ClusterRunResult::RunKey): the dependency-scope key for
+  /// incremental cascades, the exact-program key otherwise. The race
+  /// checker keys its per-cluster facts by it.
+  const support::Digest &clusterRunKey(uint32_t Idx) const {
+    return RunKeys[Idx];
+  }
+
+  /// The snapshot's own call graph -- for clients that derive
+  /// invalidation data over the same inputs serving reads (e.g. the
+  /// race checker's dependency cones).
   const ir::CallGraph &callGraph() const { return CG; }
-  const analysis::SteensgaardAnalysis &steensgaard() const { return Steens; }
   SnapshotStats stats() const;
 
   /// Blocks until no scheduled background promotion is outstanding.
@@ -304,7 +310,6 @@ private:
   std::vector<core::Cluster> Cover;
   QueryOptions Opts;
   std::shared_ptr<fscs::SummaryCache> Cache;
-  uint64_t ProgFP = 0; ///< For SummaryCache keys (0 without a cache).
 
   ir::CallGraph CG;
   analysis::SteensgaardAnalysis Steens;
@@ -312,6 +317,7 @@ private:
   /// Inverted index: VarId -> sorted cluster ids containing it.
   std::vector<std::vector<uint32_t>> VarClusters;
   std::vector<uint8_t> NeedsFallback; ///< Per cluster id.
+  std::vector<support::Digest> RunKeys; ///< Per cluster id.
 
   /// Lazily solved whole-program Andersen fallback.
   mutable std::once_flag AndersenOnce;

@@ -204,8 +204,9 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
         LockClusterIdxs.insert(CI);
   CR.LockClusters = static_cast<uint32_t>(LockClusterIdxs.size());
 
-  // Per lock cluster: dependency-scope digest + fallback flag + member
-  // names. Scope-key equality across versions means the FSCS walk
+  // Per lock cluster: the cascade's run key + fallback flag + member
+  // names. Under an incremental cascade the run key is the dependency
+  // scope key, whose equality across versions means the FSCS walk
   // observes identical inputs; the member names pin the object names a
   // resolution can return (scope content hashes raw ids, not names).
   std::unordered_map<uint32_t, support::Digest> ClusterKeys;
@@ -213,8 +214,7 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
     auto It = ClusterKeys.find(CI);
     if (It == ClusterKeys.end()) {
       const core::Cluster &C = S.cover()[CI];
-      support::Digest Scope = core::clusterScopeKey(
-          P, CG, S.steensgaard(), C, S.options().EngineOpts);
+      const support::Digest &RunKey = S.clusterRunKey(CI);
       std::set<std::string> Names;
       for (VarId M : C.Members)
         Names.insert(P.var(M).Name);
@@ -222,7 +222,7 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
         if (R.valid())
           Names.insert(P.var(R.Var).Name);
       support::ContentHasher H;
-      H.u64(Scope.Hi).u64(Scope.Lo).boolean(S.clusterNeedsFallback(CI));
+      H.u64(RunKey.Hi).u64(RunKey.Lo).boolean(S.clusterNeedsFallback(CI));
       for (const std::string &Name : Names)
         H.str(Name);
       It = ClusterKeys.emplace(CI, H.digest()).first;

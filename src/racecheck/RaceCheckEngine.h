@@ -27,11 +27,13 @@
 ///     the shared-variable set, the (name, fingerprint) closure of its
 ///     transitive callers (a must-points-to query at a site in F can
 ///     ascend into callers*(F)), and per lock site the operand name
-///     plus the scope keys + fallback flags + member names of the
-///     operand's clusters. Key equality implies the FSCS walk observes
-///     identical inputs, so cached facts replay verbatim; everything in
-///     the key is id-free or covered by the scope digest, so entries
-///     survive the global VarId/LocId renumbering every edit causes;
+///     plus the run keys (QuerySnapshot::clusterRunKey) + fallback
+///     flags + member names of the operand's clusters. Under
+///     RaceCheckService the run keys are dependency-scope keys: key
+///     equality implies the FSCS walk observes identical inputs, so
+///     cached facts replay verbatim; everything in the key is id-free
+///     or covered by the scope digest, so entries survive the global
+///     VarId/LocId renumbering every edit causes;
 ///  4. assembles the verdicts through an access-site index (shared
 ///     variable -> all access sites), reusing each variable's ranked
 ///     warnings when its site vector is unchanged, and publishes an

@@ -3,8 +3,9 @@
 // The incremental-driver correctness oracle (byte-identical stats JSON
 // against a cold full run after every edit of a 50-edit stream), the
 // strictly-fewer-clusters guarantees for single-function edits, the
-// Steensgaard adoption fast path, and the stability properties of the
-// dependency-scope machinery in core/ClusterDependencies.h.
+// one-key-per-run cache and store accounting, the Steensgaard adoption
+// fast path, and the stability properties of the dependency-scope
+// machinery in core/ClusterDependencies.h.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -114,6 +117,36 @@ TEST(Incremental, FiftyEditStreamMatchesColdRunByteForByte) {
     EXPECT_EQ(Rep.ClustersReanalyzed + Rep.ClustersFromCache, Rep.NumClusters)
         << "at edit " << I;
   }
+}
+
+//===--------------------------------------------------------------------===//
+// One key per run.
+//===--------------------------------------------------------------------===//
+
+TEST(Incremental, EveryComputedRunIsCachedAndStoredUnderOneKey) {
+  std::string Dir =
+      (std::filesystem::temp_directory_path() / "bsaa_incr_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(Dir.data()), nullptr);
+  {
+    workload::GeneratorConfig Cfg = editableConfig(10);
+    workload::EditState St = workload::initialEditState(Cfg);
+    BootstrapOptions Opts = baseOptions();
+    Opts.StorePath = Dir;
+    IncrementalDriver Incr(Opts);
+    UpdateReport Rep;
+    Incr.update(compileVersion(Cfg, St), &Rep);
+
+    // Fresh caches: every cluster computes, and each computed run is
+    // memoized -- and written through -- exactly once, under its one
+    // (scope) key.
+    const fscs::SummaryCache &Cache = *Incr.options().SummaryCache;
+    ASSERT_GT(Rep.ClustersReanalyzed, 0u);
+    EXPECT_EQ(Cache.size(), Rep.ClustersReanalyzed);
+    EXPECT_EQ(Cache.counters().StorePuts, Rep.ClustersReanalyzed);
+    EXPECT_EQ(Cache.counters().Inserts, Rep.ClustersReanalyzed);
+  }
+  std::error_code Ec;
+  std::filesystem::remove_all(Dir, Ec);
 }
 
 //===--------------------------------------------------------------------===//

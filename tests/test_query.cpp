@@ -344,6 +344,46 @@ TEST(QueryCache, MaterializationAdoptsTheCascadesSummaryRuns) {
   // Every materialized cluster replays the cascade's cached run instead
   // of re-running the dovetail from scratch.
   EXPECT_EQ(St.CacheAdoptions, St.Materializations);
+
+  // Scope-keyed runs: after a Mutate edit, AliasService's snapshot
+  // adopts both the replayed and the re-analyzed clusters through the
+  // keys the incremental cascade recorded. Small dependency cones (no
+  // recursion, no cross-community copies) leave clusters to replay.
+  workload::GeneratorConfig Cfg;
+  Cfg.Seed = 42;
+  Cfg.NumFunctions = 10;
+  Cfg.StmtsPerFunction = 10;
+  Cfg.Communities = 4;
+  Cfg.PointerFunctionPercent = 60;
+  Cfg.WeightNoise = 20;
+  Cfg.WeightCall = 4;
+  Cfg.RecursionPercent = 0;
+  Cfg.CrossCommunityBasisPoints = 0;
+  auto Compile = [&Cfg](const workload::EditState &State) {
+    frontend::Diagnostics Diags;
+    std::unique_ptr<ir::Program> Q =
+        frontend::compileString(workload::generateProgram(Cfg, State), Diags);
+    EXPECT_TRUE(Q != nullptr) << Diags.toString();
+    return Q;
+  };
+  core::BootstrapOptions IOpts;
+  IOpts.AndersenThreshold = 4;
+  query::AliasService Service(IOpts);
+  workload::EditState State = workload::initialEditState(Cfg);
+  Service.update(Compile(State));
+  workload::applyEdit(State, {workload::EditKind::Mutate, /*Function=*/1});
+  core::UpdateReport Rep = Service.update(Compile(State));
+  EXPECT_GT(Rep.ClustersFromCache, 0u);
+  EXPECT_GT(Rep.ClustersReanalyzed, 0u);
+
+  std::shared_ptr<const QuerySnapshot> Edited = Service.engine().snapshot();
+  std::vector<ir::VarId> EPtrs = pointerVars(Edited->program());
+  for (size_t I = 0; I < EPtrs.size(); ++I)
+    for (size_t J = I + 1; J < EPtrs.size(); ++J)
+      (void)Edited->mayAlias(EPtrs[I], EPtrs[J]);
+  query::SnapshotStats ESt = Edited->stats();
+  ASSERT_GT(ESt.Materializations, 0u);
+  EXPECT_EQ(ESt.CacheAdoptions, ESt.Materializations);
 }
 
 //===--------------------------------------------------------------------===//
