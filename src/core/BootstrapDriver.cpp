@@ -330,9 +330,10 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
 
   if (Opts.SummaryCache) {
     // Publish the complete memoized product so a future hit replays
-    // this run bit-for-bit (first insert wins on a racing key).
+    // this run bit-for-bit (first insert wins on a racing key). The
+    // engine is done: its state moves into the cache entry.
     fscs::CachedClusterRun Run;
-    Run.Engine = AA.engine().exportState();
+    Run.Engine = AA.engine().takeState();
     Run.Dove = AA.dovetailStats();
     Run.Stats = ES;
     Opts.SummaryCache->insert(R.RunKey, std::move(Run));

@@ -36,9 +36,12 @@ Condition Condition::conjoin(const ConstraintAtom &Atom,
     // Widen: drop the new atom rather than growing without bound.
     return *this;
   }
-  Condition Out = *this;
-  Out.Atoms.insert(
-      std::upper_bound(Out.Atoms.begin(), Out.Atoms.end(), Atom), Atom);
+  Condition Out;
+  Out.Atoms.reserve(Atoms.size() + 1);
+  auto Pos = std::upper_bound(Atoms.begin(), Atoms.end(), Atom);
+  Out.Atoms.insert(Out.Atoms.end(), Atoms.begin(), Pos);
+  Out.Atoms.push_back(Atom);
+  Out.Atoms.insert(Out.Atoms.end(), Pos, Atoms.end());
   return Out;
 }
 
@@ -46,11 +49,30 @@ Condition Condition::conjoinAll(const Condition &Other,
                                 size_t MaxAtoms) const {
   if (IsFalse || Other.IsFalse)
     return falseCondition();
-  Condition Out = *this;
+  if (Other.Atoms.empty())
+    return *this;
+  // The left fold of conjoin over Other's atoms, built in one buffer
+  // sized for the most atoms the cap lets through: each atom is checked
+  // against everything accepted so far, in sorted order as conjoin
+  // checks, then inserted in place while under the cap.
+  size_t Room = MaxAtoms > Atoms.size() ? MaxAtoms - Atoms.size() : 0;
+  Condition Out;
+  Out.Atoms.reserve(Atoms.size() + std::min(Room, Other.Atoms.size()));
+  Out.Atoms.assign(Atoms.begin(), Atoms.end());
   for (const ConstraintAtom &Atom : Other.Atoms) {
-    Out = Out.conjoin(Atom, MaxAtoms);
-    if (Out.IsFalse)
-      return Out;
+    bool Duplicate = false;
+    for (const ConstraintAtom &Existing : Out.Atoms) {
+      if (Existing == Atom) {
+        Duplicate = true;
+        break;
+      }
+      if (Existing.contradicts(Atom))
+        return falseCondition();
+    }
+    if (Duplicate || Out.Atoms.size() >= MaxAtoms)
+      continue;
+    Out.Atoms.insert(
+        std::upper_bound(Out.Atoms.begin(), Out.Atoms.end(), Atom), Atom);
   }
   return Out;
 }

@@ -92,7 +92,8 @@ public:
   /// over-approximation for may-alias).
   Condition conjoin(const ConstraintAtom &Atom, size_t MaxAtoms) const;
 
-  /// This ∧ Other (atom-wise), with the same widening rule.
+  /// This ∧ Other (atom-wise), with the same widening rule: equal to
+  /// conjoining Other's atoms one by one, in order.
   Condition conjoinAll(const Condition &Other, size_t MaxAtoms) const;
 
   /// Reconstructs a condition from already-canonical parts

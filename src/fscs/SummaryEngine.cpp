@@ -186,25 +186,26 @@ void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
 }
 
 void SummaryEngine::feedWaiter(KeyId Provider, size_t WaiterIdx) {
-  // The Waiters vector (and St.Keys itself) can grow during nested
-  // processing, so re-index through St.Keys[Provider] on every access.
-  KeyId Dependent = St.Keys[Provider].Waiters[WaiterIdx].Dependent;
-  LocId CallLoc = St.Keys[Provider].Waiters[WaiterIdx].CallLoc;
-  Condition CondAtCall = St.Keys[Provider].Waiters[WaiterIdx].CondAtCall;
-  while (St.Keys[Provider].Waiters[WaiterIdx].Consumed <
-         St.Keys[Provider].Results.size()) {
-    SummaryTuple R =
-        St.Keys[Provider]
-            .Results[St.Keys[Provider].Waiters[WaiterIdx].Consumed++];
-    Condition Merged = CondAtCall.conjoinAll(R.Cond, Opts.MaxCondAtoms);
+  // addResult can grow Dependent's Results, and Dependent may be
+  // Provider: everything read from the provider tuple (the merged
+  // condition and Origin) is taken before addResult or propagate runs,
+  // and St.Keys[Provider] is re-indexed on every iteration.
+  for (;;) {
+    KeyState &PS = St.Keys[Provider];
+    Waiter &W = PS.Waiters[WaiterIdx];
+    if (W.Consumed >= PS.Results.size())
+      return;
+    const SummaryTuple &R = PS.Results[W.Consumed++];
+    Condition Merged = W.CondAtCall.conjoinAll(R.Cond, Opts.MaxCondAtoms);
     if (Merged.isFalse())
       continue;
+    Ref Origin = R.Origin;
     if (R.isResolved()) {
-      addResult(Dependent, R.Origin, Merged);
+      addResult(W.Dependent, Origin, Merged);
     } else {
       // Continue the caller-side traversal above the call with the
       // callee's entry ref substituted (the splice step).
-      propagate(Dependent, CallLoc, R.Origin, Merged);
+      propagate(W.Dependent, W.CallLoc, Origin, Merged);
     }
   }
 }
@@ -233,26 +234,36 @@ bool SummaryEngine::isInteresting(LocId L) {
 }
 
 const std::vector<LocId> &SummaryEngine::interestingPreds(LocId L) {
-  auto It = SkipPredCache.find(L);
-  if (It != SkipPredCache.end())
-    return It->second;
-  // BFS backwards through skip locations, stopping at interesting ones.
+  if (SkipPredSlot.empty()) {
+    SkipPredSlot.assign(Prog.numLocs(), NoSkipPreds);
+    SkipVisited.assign(Prog.numLocs(), 0);
+  }
+  if (SkipPredSlot[L] != NoSkipPreds)
+    return SkipPredLists[SkipPredSlot[L]];
+  // Search backwards through skip locations (depth-first), stopping at
+  // interesting ones.
+  ++SkipEpoch;
   std::vector<LocId> Out;
-  std::vector<LocId> Stack(Prog.loc(L).Preds.begin(),
-                           Prog.loc(L).Preds.end());
-  std::unordered_set<LocId> Visited(Stack.begin(), Stack.end());
-  while (!Stack.empty()) {
-    LocId P = Stack.back();
-    Stack.pop_back();
+  SkipStack.assign(Prog.loc(L).Preds.begin(), Prog.loc(L).Preds.end());
+  for (LocId P : SkipStack)
+    SkipVisited[P] = SkipEpoch;
+  while (!SkipStack.empty()) {
+    LocId P = SkipStack.back();
+    SkipStack.pop_back();
     if (isInteresting(P)) {
       Out.push_back(P);
       continue;
     }
-    for (LocId PP : Prog.loc(P).Preds)
-      if (Visited.insert(PP).second)
-        Stack.push_back(PP);
+    for (LocId PP : Prog.loc(P).Preds) {
+      if (SkipVisited[PP] != SkipEpoch) {
+        SkipVisited[PP] = SkipEpoch;
+        SkipStack.push_back(PP);
+      }
+    }
   }
-  return SkipPredCache.emplace(L, std::move(Out)).first->second;
+  SkipPredSlot[L] = static_cast<uint32_t>(SkipPredLists.size());
+  SkipPredLists.push_back(std::move(Out));
+  return SkipPredLists.back();
 }
 
 void SummaryEngine::propagate(KeyId K, LocId M, Ref Q,
@@ -287,8 +298,7 @@ void SummaryEngine::drain() {
         St.BudgetHit = true;
         return;
       }
-      TraversalTuple T = std::move(St.Keys[K].WL.front());
-      St.Keys[K].WL.pop_front();
+      TraversalTuple T = St.Keys[K].WL.take();
       ++St.Steps;
       processTuple(K, T);
     }
@@ -301,9 +311,9 @@ void SummaryEngine::processTuple(KeyId K, const TraversalTuple &T) {
     handleCall(K, T);
     return;
   }
-  std::vector<Outcome> Outcomes;
+  Outcomes.clear();
   transfer(T.M, T.Q, T.Cond, Outcomes);
-  for (Outcome &O : Outcomes) {
+  for (const Outcome &O : Outcomes) {
     if (O.NewCond.isFalse())
       continue;
     switch (O.Kind) {
@@ -607,11 +617,16 @@ bool SummaryEngine::satisfiable(const Condition &Cond) {
 // Public queries
 //===--------------------------------------------------------------------===//
 
-std::vector<SummaryTuple> SummaryEngine::summaryAt(LocId AnchorLoc,
-                                                   Ref R) {
+const std::vector<SummaryTuple> &SummaryEngine::resultsAt(LocId AnchorLoc,
+                                                         Ref R) {
   KeyId K = ensureKey(AnchorLoc, R);
   drain();
   return St.Keys[K].Results;
+}
+
+std::vector<SummaryTuple> SummaryEngine::summaryAt(LocId AnchorLoc,
+                                                   Ref R) {
+  return resultsAt(AnchorLoc, R);
 }
 
 std::vector<SummaryTuple> SummaryEngine::originsBefore(LocId Loc, Ref R) {
@@ -628,10 +643,10 @@ std::vector<SummaryTuple> SummaryEngine::originsBefore(LocId Loc, Ref R) {
   }
   std::unordered_set<uint64_t> Seen;
   for (LocId P : L.Preds) {
-    for (SummaryTuple &T : summaryAt(P, R)) {
+    for (const SummaryTuple &T : resultsAt(P, R)) {
       uint64_t H = refHash(T.Origin) * 0x100000001b3ull ^ T.Cond.hash();
       if (Seen.insert(H).second)
-        Out.push_back(std::move(T));
+        Out.push_back(T);
     }
   }
   return Out;
@@ -738,6 +753,34 @@ uint64_t SummaryEngine::State::approxBytes() const {
     N += 48 + Bits.count() / 8;
   }
   return N;
+}
+
+SummaryEngine::TraversalTuple SummaryEngine::TraversalQueue::take() {
+  TraversalTuple T = std::move(Items[Head++]);
+  // Keep the moved-from prefix no longer than the pending part.
+  if (Head == Items.size() || (Head >= 64 && Head * 2 >= Items.size()))
+    dropTaken();
+  return T;
+}
+
+void SummaryEngine::TraversalQueue::shrink_to_fit() {
+  dropTaken();
+  Items.shrink_to_fit();
+}
+
+void SummaryEngine::TraversalQueue::dropTaken() {
+  Items.erase(Items.begin(), begin());
+  Head = 0;
+}
+
+SummaryEngine::State SummaryEngine::takeState() {
+  St.Keys.shrink_to_fit();
+  for (KeyState &KS : St.Keys) {
+    KS.Results.shrink_to_fit();
+    KS.Waiters.shrink_to_fit();
+    KS.WL.shrink_to_fit();
+  }
+  return std::move(St);
 }
 
 void SummaryEngine::importState(State S) {

@@ -50,10 +50,12 @@
 #include "support/SparseBitVector.h"
 #include "support/Statistics.h"
 
+#include <cstddef>
 #include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -206,6 +208,34 @@ public:
     Condition Cond;
   };
 
+  /// A key's FIFO worklist: a vector plus a head cursor. Unlike
+  /// std::deque (whose libstdc++ move constructor allocates and is not
+  /// noexcept), it keeps KeyState nothrow-movable, so growing
+  /// State::Keys relocates keys instead of deep-copying their hash sets.
+  /// Iteration and size() cover the pending tuples only.
+  class TraversalQueue {
+  public:
+    bool empty() const { return Head == Items.size(); }
+    size_t size() const { return Items.size() - Head; }
+    void push_back(TraversalTuple T) { Items.push_back(std::move(T)); }
+    /// Removes and returns the oldest pending tuple.
+    TraversalTuple take();
+    std::vector<TraversalTuple>::const_iterator begin() const {
+      return Items.begin() + static_cast<std::ptrdiff_t>(Head);
+    }
+    std::vector<TraversalTuple>::const_iterator end() const {
+      return Items.end();
+    }
+    /// Drops the consumed prefix and releases spare capacity.
+    void shrink_to_fit();
+
+  private:
+    void dropTaken();
+
+    std::vector<TraversalTuple> Items;
+    size_t Head = 0; ///< Items before Head were taken (moved-from).
+  };
+
   /// A splice waiting on a provider key's future results.
   struct Waiter {
     KeyId Dependent;
@@ -219,7 +249,7 @@ public:
     ir::Ref R;
     std::vector<SummaryTuple> Results;
     std::unordered_set<uint64_t> ResultHashes;
-    std::deque<TraversalTuple> WL;
+    TraversalQueue WL;
     std::unordered_set<uint64_t> Seen; ///< Tuples ever enqueued.
     std::vector<Waiter> Waiters;       ///< Splices fed by this key.
     std::unordered_set<uint64_t> WaiterHashes;
@@ -227,10 +257,11 @@ public:
 
   /// The complete memoized product of an engine run. Opaque to callers
   /// except for tests and the accounting accessors: the only supported
-  /// operations are exportState() after a run and importState() into a
-  /// fresh engine built from identical (program, cluster, options)
-  /// inputs -- the SummaryCache guarantees that identity by keying
-  /// entries on a content digest of exactly those inputs.
+  /// operations are takeState() or exportState() after a run and
+  /// importState() into a fresh engine built from identical (program,
+  /// cluster, options) inputs -- the SummaryCache guarantees that
+  /// identity by keying entries on a content digest of exactly those
+  /// inputs.
   struct State {
     std::vector<KeyState> Keys;
     std::map<std::pair<ir::LocId, uint64_t>, KeyId> KeyIndex;
@@ -243,8 +274,16 @@ public:
     uint64_t approxBytes() const;
   };
 
-  /// Deep-copies the memoized product (call after queries are done).
+  /// Deep copy of the memoized product; the engine stays usable. Tests
+  /// compare it against takeState() from a twin engine.
   State exportState() const { return St; }
+
+  /// Moves the memoized product out -- the publish path into the
+  /// SummaryCache. Keys and each key's Results, Waiters and WL are
+  /// compacted first, so the moved state holds no more memory than an
+  /// exportState() copy would. Leaves the engine empty: read stats()
+  /// before, and only destroy the engine after.
+  State takeState();
 
   /// Installs \p S as this engine's memoized product. Only valid on an
   /// engine constructed over the same program, cluster, and options
@@ -260,6 +299,9 @@ private:
   void drain();
   void processTuple(KeyId K, const TraversalTuple &T);
   void handleCall(KeyId K, const TraversalTuple &T);
+  /// summaryAt without the copy: valid until the engine next runs.
+  const std::vector<SummaryTuple> &resultsAt(ir::LocId AnchorLoc,
+                                             ir::Ref R);
   void propagate(KeyId K, ir::LocId M, ir::Ref Q, const Condition &Cond);
 
   //===--------------------------------------------------------------===//
@@ -314,7 +356,8 @@ private:
   /// Nearest interesting locations reachable backwards from \p L
   /// through skip locations only; memoized. Traversals jump across
   /// skip regions in one step, which keeps query cost proportional to
-  /// the slice instead of the whole CFG.
+  /// the slice instead of the whole CFG. The reference is valid until
+  /// the next call.
   const std::vector<ir::LocId> &interestingPreds(ir::LocId L);
 
   //===--------------------------------------------------------------===//
@@ -340,6 +383,9 @@ private:
   /// be as long as the whole exploration and would overflow the stack.
   std::deque<KeyId> PendingFeeds;
   std::vector<uint8_t> FeedQueued;
+  /// processTuple's transfer output, reused across steps (processTuple
+  /// never re-enters itself).
+  std::vector<Outcome> Outcomes;
 
   /// Slice-local modification info per function (only functions with
   /// slice statements appear), and the lazily computed transitive
@@ -362,12 +408,25 @@ private:
   /// written through a store).
   std::vector<uint8_t> PartitionHasPred;
 
-  std::unordered_map<ir::LocId, std::vector<ir::LocId>> SkipPredCache;
+  /// interestingPreds memo: Location -> index into SkipPredLists, or
+  /// NoSkipPreds while not yet computed.
+  static constexpr uint32_t NoSkipPreds = ~uint32_t(0);
+  std::vector<uint32_t> SkipPredSlot;
+  std::vector<std::vector<ir::LocId>> SkipPredLists;
+  /// interestingPreds' search scratch: a location is visited in the
+  /// current search iff its stamp equals SkipEpoch. Each search computes a new
+  /// memo entry, so the epoch cannot wrap before the location count.
+  std::vector<uint32_t> SkipVisited;
+  uint32_t SkipEpoch = 0;
+  std::vector<ir::LocId> SkipStack;
   std::vector<uint8_t> InterestingCache; ///< 0 unknown, 1 no, 2 yes.
 
   std::unordered_set<uint64_t> FsciInProgress; ///< Vars being computed.
   SparseBitVector EmptySet;
 };
+
+static_assert(std::is_nothrow_move_constructible_v<SummaryEngine::KeyState>,
+              "growing State::Keys must move keys, not copy them");
 
 } // namespace fscs
 } // namespace bsaa

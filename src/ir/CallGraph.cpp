@@ -7,9 +7,10 @@
 using namespace bsaa;
 using namespace bsaa::ir;
 
-CallGraph::CallGraph(const Program &P) : Prog(P) {
+CallGraph::CallGraph(const Program &P) {
   uint32_t N = P.numFuncs();
   CalleeLists.resize(N);
+  CallSiteLists.resize(N);
   CallerLists.resize(N);
   CallLocs.resize(N);
   SelfLoop.assign(N, 0);
@@ -24,10 +25,15 @@ CallGraph::CallGraph(const Program &P) : Prog(P) {
       if (Callee == Caller)
         SelfLoop[Caller] = 1;
       std::vector<FuncId> &Cs = CalleeLists[Caller];
-      if (std::find(Cs.begin(), Cs.end(), Callee) == Cs.end()) {
-        Cs.push_back(Callee);
+      auto It = std::find(Cs.begin(), Cs.end(), Callee);
+      if (It == Cs.end()) {
+        It = Cs.insert(It, Callee);
         CallerLists[Callee].push_back(Caller);
+        CallSiteLists[Caller].emplace_back();
       }
+      std::vector<LocId> &Sites = CallSiteLists[Caller][It - Cs.begin()];
+      if (Sites.empty() || Sites.back() != L)
+        Sites.push_back(L);
     }
   }
 
@@ -38,14 +44,12 @@ CallGraph::CallGraph(const Program &P) : Prog(P) {
   });
 }
 
-std::vector<LocId> CallGraph::callSites(FuncId Caller, FuncId Callee) const {
-  std::vector<LocId> Sites;
-  for (LocId L : CallLocs[Caller]) {
-    const std::vector<FuncId> &Cs = Prog.loc(L).Callees;
-    if (std::find(Cs.begin(), Cs.end(), Callee) != Cs.end())
-      Sites.push_back(L);
-  }
-  return Sites;
+const std::vector<LocId> &CallGraph::callSites(FuncId Caller,
+                                               FuncId Callee) const {
+  static const std::vector<LocId> None;
+  const std::vector<FuncId> &Cs = CalleeLists[Caller];
+  auto It = std::find(Cs.begin(), Cs.end(), Callee);
+  return It == Cs.end() ? None : CallSiteLists[Caller][It - Cs.begin()];
 }
 
 bool CallGraph::isRecursive(FuncId F) const {

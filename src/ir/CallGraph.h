@@ -41,8 +41,8 @@ public:
   }
 
   /// Call locations inside \p Caller whose callee set contains
-  /// \p Callee.
-  std::vector<LocId> callSites(FuncId Caller, FuncId Callee) const;
+  /// \p Callee, in location order (empty if \p Caller never calls it).
+  const std::vector<LocId> &callSites(FuncId Caller, FuncId Callee) const;
 
   /// All call locations inside \p Caller.
   const std::vector<LocId> &callLocations(FuncId Caller) const {
@@ -62,8 +62,9 @@ public:
   std::vector<FuncId> reverseTopologicalOrder() const;
 
 private:
-  const Program &Prog;
   std::vector<std::vector<FuncId>> CalleeLists;
+  /// CallSiteLists[F][I]: callSites(F, CalleeLists[F][I]).
+  std::vector<std::vector<std::vector<LocId>>> CallSiteLists;
   std::vector<std::vector<FuncId>> CallerLists;
   std::vector<std::vector<LocId>> CallLocs;
   SccResult Sccs;

@@ -9,6 +9,7 @@
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
 #include "fscs/Constraint.h"
+#include "support/ContentHash.h"
 
 #include <gtest/gtest.h>
 
@@ -193,6 +194,54 @@ TEST(Condition, ConjoinAllMergesAndDetectsContradiction) {
   C3 = C3.conjoin(
       fscs::ConstraintAtom{1, fscs::ConstraintKind::NotPointsTo, 1, 2}, 8);
   EXPECT_TRUE(C1.conjoinAll(C3, 8).isFalse());
+}
+
+TEST(Condition, ConjoinAllEqualsFoldOfConjoin) {
+  // Atoms over a tiny universe so duplicates and contradictions are
+  // common; sides are built with a cap of up to 6, so a side can exceed
+  // a smaller cap passed to conjoinAll.
+  support::SplitMix64 Rng(20080607);
+  auto RandomSide = [&Rng]() {
+    switch (Rng.below(8)) {
+    case 0:
+      return fscs::Condition(); // Empty side.
+    case 1:
+      return fscs::Condition::falseCondition();
+    default:
+      break;
+    }
+    fscs::Condition C;
+    size_t Cap = 1 + Rng.below(6);
+    for (uint32_t I = 0, N = Rng.below(7); I < N; ++I) {
+      fscs::ConstraintAtom A{Rng.below(3),
+                             static_cast<fscs::ConstraintKind>(Rng.below(4)),
+                             Rng.below(2), Rng.below(2)};
+      fscs::Condition Next = C.conjoin(A, Cap);
+      if (!Next.isFalse()) // Keep the side live so the merge decides.
+        C = Next;
+    }
+    return C;
+  };
+  size_t Falses = 0, Dropped = 0;
+  for (int Trial = 0; Trial < 4000; ++Trial) {
+    fscs::Condition L = RandomSide();
+    fscs::Condition R = RandomSide();
+    for (size_t Cap = 0; Cap <= 5; ++Cap) {
+      fscs::Condition Want = L;
+      if (R.isFalse())
+        Want = fscs::Condition::falseCondition();
+      for (const fscs::ConstraintAtom &A : R.atoms())
+        Want = Want.conjoin(A, Cap);
+      fscs::Condition Got = L.conjoinAll(R, Cap);
+      ASSERT_EQ(Got, Want) << "trial " << Trial << " cap " << Cap;
+      Falses += Got.isFalse() ? 1 : 0;
+      Dropped += !Got.isFalse() && Got.size() < L.size() + R.size() ? 1 : 0;
+    }
+  }
+  // The seed reaches every branch: contradictions, and atoms skipped as
+  // duplicates or dropped at the cap.
+  EXPECT_GT(Falses, 0u);
+  EXPECT_GT(Dropped, 0u);
 }
 
 TEST(Condition, HashAndEquality) {

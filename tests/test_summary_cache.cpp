@@ -16,11 +16,14 @@
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
 #include "fscs/ClusterAliasAnalysis.h"
+#include "fscs/StateCodec.h"
 #include "fscs/SummaryCache.h"
 #include "support/Statistics.h"
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 using namespace bsaa;
 
@@ -327,6 +330,78 @@ TEST(SummaryCache, AdoptedStateAnswersQueriesIdentically) {
   EXPECT_EQ(EA.Keys, EB.Keys);
   EXPECT_EQ(EA.BudgetHit, EB.BudgetHit);
   EXPECT_EQ(EA.Approximated, EB.Approximated);
+}
+
+//===--------------------------------------------------------------------===//
+// The publish path moves the state out instead of copying it
+//===--------------------------------------------------------------------===//
+
+static_assert(
+    std::is_nothrow_move_constructible_v<fscs::SummaryEngine::KeyState>);
+
+TEST(SummaryCache, TakenStateEncodesLikeAnExportedCopy) {
+  auto P = generate(47);
+  ASSERT_TRUE(P);
+  ir::CallGraph CG(*P);
+  analysis::SteensgaardAnalysis S(*P);
+  S.run();
+  core::Cluster Whole = core::wholeProgramCluster(*P);
+
+  // Budget 300 stops mid-exploration with tuples still queued; 0 runs
+  // to the fixpoint.
+  for (uint64_t Budget : {300u, 0u}) {
+    SCOPED_TRACE(Budget);
+    fscs::SummaryEngine::Options Opts;
+    Opts.StepBudget = Budget;
+    // Twin engines driven through the same queries, as analyzeCluster
+    // drives them.
+    fscs::ClusterAliasAnalysis Exported(*P, CG, S, Whole, Opts);
+    fscs::ClusterAliasAnalysis Taken(*P, CG, S, Whole, Opts);
+    std::vector<std::pair<ir::VarId, ir::LocId>> Queries;
+    for (ir::VarId V = 0; V < P->numVars(); ++V) {
+      if (!P->var(V).isPointer())
+        continue;
+      ir::FuncId Owner = P->var(V).Owner != ir::InvalidFunc
+                             ? P->var(V).Owner
+                             : P->entryFunction();
+      if (Owner != ir::InvalidFunc)
+        Queries.emplace_back(V, P->func(Owner).Exit);
+    }
+    for (fscs::ClusterAliasAnalysis *AA : {&Exported, &Taken}) {
+      AA->prepare();
+      for (auto [V, At] : Queries)
+        AA->pointsTo(V, At);
+    }
+    fscs::SummaryEngine::EngineStats ES = Exported.engine().stats();
+    EXPECT_EQ(ES.BudgetHit, Budget != 0);
+
+    fscs::CachedClusterRun Copy{Exported.engine().exportState(),
+                                Exported.dovetailStats(), ES};
+    fscs::CachedClusterRun Moved{Taken.engine().takeState(),
+                                 Taken.dovetailStats(), ES};
+    if (Budget != 0) {
+      size_t Pending = 0;
+      for (const fscs::SummaryEngine::KeyState &K : Moved.Engine.Keys)
+        Pending += K.WL.size();
+      EXPECT_GT(Pending, 0u);
+    }
+    EXPECT_EQ(Copy.approxBytes(), Moved.approxBytes());
+    support::ByteWriter WCopy, WMoved;
+    fscs::encodeCachedClusterRun(Copy, WCopy);
+    fscs::encodeCachedClusterRun(Moved, WMoved);
+    EXPECT_EQ(WCopy.bytes(), WMoved.bytes());
+
+    fscs::ClusterAliasAnalysis FromCopy(*P, CG, S, Whole, Opts);
+    fscs::ClusterAliasAnalysis FromMoved(*P, CG, S, Whole, Opts);
+    FromCopy.adoptState(std::move(Copy.Engine), Copy.Dove);
+    FromMoved.adoptState(std::move(Moved.Engine), Moved.Dove);
+    for (auto [V, At] : Queries) {
+      auto A = FromCopy.pointsTo(V, At);
+      auto B = FromMoved.pointsTo(V, At);
+      EXPECT_EQ(A.Objects, B.Objects) << P->var(V).Name;
+      EXPECT_EQ(A.Complete, B.Complete) << P->var(V).Name;
+    }
+  }
 }
 
 //===--------------------------------------------------------------------===//
