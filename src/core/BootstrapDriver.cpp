@@ -329,11 +329,21 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
   fscs::accumulateDovetailStats(AA.dovetailStats(), stats());
 
   if (Opts.SummaryCache) {
-    // Publish the complete memoized product so a future hit replays
-    // this run bit-for-bit (first insert wins on a racing key). The
-    // engine is done: its state moves into the cache entry.
+    // Publish the run so a future hit replays its metrics bit-for-bit
+    // (first insert wins on a racing key). A complete run's memoized
+    // product moves into the entry for snapshots to adopt. A fallback
+    // run's fixpoint is never adopted (QuerySnapshot routes its cluster
+    // to the fallback chain), so the entry keeps only its verdict: the
+    // flags and step count, which still answer Complete = false if
+    // adopted by mistake. The engine frees the rest here.
     fscs::CachedClusterRun Run;
-    Run.Engine = AA.engine().takeState();
+    if (R.needsFallback()) {
+      Run.Engine.Steps = ES.Steps;
+      Run.Engine.BudgetHit = ES.BudgetHit;
+      Run.Engine.Approximated = ES.Approximated;
+    } else {
+      Run.Engine = AA.engine().takeState();
+    }
     Run.Dove = AA.dovetailStats();
     Run.Stats = ES;
     Opts.SummaryCache->insert(R.RunKey, std::move(Run));

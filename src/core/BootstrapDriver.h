@@ -193,6 +193,12 @@ struct ClusterRunResult {
   /// without a cache attached. Consumers -- snapshot adoption, the race
   /// checker's facts keys -- read it instead of re-deriving it.
   support::Digest RunKey;
+
+  /// A truncated or approximated run may have lost alias origins, so
+  /// its "no alias" verdicts cannot be trusted: every query over the
+  /// cluster goes to the fallback chain, and the summary cache keeps
+  /// only the run's verdict, not its fixpoint.
+  bool needsFallback() const { return BudgetHit || Approximated; }
 };
 
 /// Whole-pipeline outcome: the raw material of a Table 1 row.

@@ -4,11 +4,11 @@
 
 #include "analysis/Steensgaard.h"
 #include "fscs/Dovetail.h"
+#include "support/FlatHashSet.h"
 #include "support/SparseBitVector.h"
 
 #include <algorithm>
 #include <deque>
-#include <unordered_set>
 
 using namespace bsaa;
 using namespace bsaa::fscs;
@@ -78,7 +78,7 @@ void ClusterAliasAnalysis::ensurePrepared() { prepare(); }
 SparseBitVector ClusterAliasAnalysis::walkOrigins(SummaryEngine &E, VarId V,
                                                   LocId Loc) {
   SparseBitVector Objects;
-  std::unordered_set<uint64_t> Visited;
+  FlatHashSet Visited;
   std::deque<std::pair<FuncId, Ref>> Queue;
 
   auto Handle = [&](FuncId Owner, std::vector<SummaryTuple> Tuples) {
@@ -95,7 +95,7 @@ SparseBitVector ClusterAliasAnalysis::walkOrigins(SummaryEngine &E, VarId V,
         continue;
       }
       uint64_t H = (uint64_t(Owner) << 34) ^ refHash(T.Origin);
-      if (Visited.insert(H).second)
+      if (Visited.insert(H))
         Queue.emplace_back(Owner, T.Origin);
     }
   };
@@ -205,11 +205,11 @@ ClusterAliasAnalysis::pointsToInContext(VarId V, LocId Loc,
     size_t Depth; ///< Number of context frames still below us.
   };
   std::deque<Item> Queue;
-  std::unordered_set<uint64_t> Visited;
+  FlatHashSet Visited;
   auto Push = [&](Ref R, LocId At, size_t Depth) {
     uint64_t H = refHash(R) ^ (uint64_t(At) << 24) ^
                  (uint64_t(Depth) << 54);
-    if (Visited.insert(H).second)
+    if (Visited.insert(H))
       Queue.push_back(Item{R, At, Depth});
   };
   Push(Ref::direct(V), Loc, Ctx.size());

@@ -31,8 +31,8 @@ void encodeCondition(const Condition &C, ByteWriter &W) {
   }
 }
 
-/// Unordered hash sets are serialized sorted for determinism.
-void encodeHashSet(const std::unordered_set<uint64_t> &S, ByteWriter &W) {
+/// Hash sets are serialized sorted, independent of slot order.
+void encodeHashSet(const FlatHashSet &S, ByteWriter &W) {
   std::vector<uint64_t> V(S.begin(), S.end());
   std::sort(V.begin(), V.end());
   W.u32(static_cast<uint32_t>(V.size()));
@@ -164,7 +164,7 @@ bool decodeCondition(ByteReader &R, Condition &Out) {
   return true;
 }
 
-bool decodeHashSet(ByteReader &R, std::unordered_set<uint64_t> &Out) {
+bool decodeHashSet(ByteReader &R, FlatHashSet &Out) {
   uint32_t N = R.u32();
   if (!plausibleCount(R, N))
     return false;

@@ -13,10 +13,10 @@
 /// freshly onboarded tenant) can import whole cluster fixpoints instead
 /// of re-solving them.
 ///
-/// Encoding is deterministic: the unordered hash sets inside KeyState
-/// are serialized sorted, and the std::maps in their natural order, so
-/// encode(decode(encode(S))) == encode(S) -- the property the
-/// round-trip tests pin.
+/// Encoding is deterministic: the hash sets inside KeyState are
+/// serialized sorted (not in slot order), and the std::maps in their
+/// natural order, so encode(decode(encode(S))) == encode(S) -- the
+/// property the round-trip tests pin.
 ///
 /// Decoding is total: it consumes untrusted bytes through the
 /// bounds-checked ByteReader, validates every invariant the in-memory

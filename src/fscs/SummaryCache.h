@@ -18,7 +18,9 @@
 /// summary tuples + FSCI memo + accounting) plus the dovetail-warmup
 /// accounting, so a hit replays *bit-identical* per-cluster metrics and
 /// can serve arbitrary further queries through
-/// ClusterAliasAnalysis::adoptState. Soundness of the key derivation
+/// ClusterAliasAnalysis::adoptState. A run that needs the fallback
+/// chain (budget hit or approximation) keeps only its verdict: no query
+/// ever adopts its fixpoint (DESIGN.md, "What an entry holds"). Soundness of the key derivation
 /// (why digest equality implies state equality) is argued in DESIGN.md,
 /// "Summary-cache key derivation".
 ///
@@ -39,7 +41,9 @@ namespace fscs {
 
 /// One memoized per-cluster FSCS run.
 struct CachedClusterRun {
-  SummaryEngine::State Engine; ///< Post-run memoized product.
+  /// Post-run memoized product; for a fallback run only its Steps,
+  /// BudgetHit and Approximated.
+  SummaryEngine::State Engine;
   DovetailStats Dove;          ///< Warmup accounting to replay.
   SummaryEngine::EngineStats Stats; ///< Aggregate accounting to replay.
 

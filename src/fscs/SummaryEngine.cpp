@@ -146,7 +146,7 @@ void SummaryEngine::enqueue(KeyId K, TraversalTuple T) {
     return;
   uint64_t H = tupleHash(T.M, T.Q, T.Cond);
   KeyState &KS = St.Keys[K];
-  if (!KS.Seen.insert(H).second)
+  if (!KS.Seen.insert(H))
     return;
   KS.WL.push_back(std::move(T));
   if (!KeyActive[K]) {
@@ -168,7 +168,7 @@ void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
   if (St.Keys[K].Results.size() >= Opts.MaxResultsPerKey)
     Effective = Condition();
   uint64_t H = refHash(Origin) * 0x100000001b3ull ^ Effective.hash();
-  if (!St.Keys[K].ResultHashes.insert(H).second)
+  if (!St.Keys[K].ResultHashes.insert(H))
     return;
   SummaryTuple Tuple;
   Tuple.Anchor = St.Keys[K].R;
@@ -345,7 +345,7 @@ void SummaryEngine::handleCall(KeyId K, const TraversalTuple &T) {
     KeyId Provider = ensureKey(Prog.func(G).Exit, T.Q);
     uint64_t WH = (uint64_t(K) << 32) ^ (uint64_t(T.M) * 0x9e3779b9) ^
                   T.Cond.hash() ^ Provider;
-    if (St.Keys[Provider].WaiterHashes.insert(WH).second) {
+    if (St.Keys[Provider].WaiterHashes.insert(WH)) {
       St.Keys[Provider].Waiters.push_back(Waiter{K, T.M, T.Cond, 0});
       feedWaiter(Provider, St.Keys[Provider].Waiters.size() - 1);
     }
@@ -641,11 +641,11 @@ std::vector<SummaryTuple> SummaryEngine::originsBefore(LocId Loc, Ref R) {
     Out.push_back(std::move(T));
     return Out;
   }
-  std::unordered_set<uint64_t> Seen;
+  FlatHashSet Seen;
   for (LocId P : L.Preds) {
     for (const SummaryTuple &T : resultsAt(P, R)) {
       uint64_t H = refHash(T.Origin) * 0x100000001b3ull ^ T.Cond.hash();
-      if (Seen.insert(H).second)
+      if (Seen.insert(H))
         Out.push_back(T);
     }
   }
@@ -657,12 +657,14 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
   auto It = St.FsciMemo.find(MapKey);
   if (It != St.FsciMemo.end())
     return It->second;
-  if (FsciInProgress.count(V))
+  if (FsciInProgress.empty())
+    FsciInProgress.assign(Prog.numVars(), 0);
+  if (FsciInProgress[V])
     return EmptySet;
-  FsciInProgress.insert(V);
+  FsciInProgress[V] = 1;
 
   SparseBitVector Objects;
-  std::unordered_set<uint64_t> Visited;
+  FlatHashSet Visited;
   std::deque<std::pair<FuncId, Ref>> Queue;
 
   auto Handle = [&](FuncId Owner, std::vector<SummaryTuple> Tuples) {
@@ -674,7 +676,7 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
         continue;
       }
       uint64_t H = (uint64_t(Owner) << 34) ^ refHash(T.Origin);
-      if (Visited.insert(H).second)
+      if (Visited.insert(H))
         Queue.emplace_back(Owner, T.Origin);
     }
   };
@@ -692,7 +694,7 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
         Handle(Caller, originsBefore(C, W));
   }
 
-  FsciInProgress.erase(V);
+  FsciInProgress[V] = 0;
   auto [Ins, _] = St.FsciMemo.emplace(MapKey, std::move(Objects));
   return Ins->second;
 }
@@ -735,22 +737,33 @@ void SummaryEngine::accumulateGlobalStats(const EngineStats &S,
 //===--------------------------------------------------------------------===//
 
 uint64_t SummaryEngine::State::approxBytes() const {
+  // A std::map node: the red-black links and color ahead of the value.
+  constexpr uint64_t MapNodeHeader = 32;
+  auto CondBytes = [](const Condition &C) {
+    return C.atoms().size() * sizeof(ConstraintAtom);
+  };
   uint64_t N = sizeof(State);
   for (const KeyState &KS : Keys) {
     N += sizeof(KeyState);
     N += KS.Results.size() * sizeof(SummaryTuple);
     for (const SummaryTuple &T : KS.Results)
-      N += T.Cond.atoms().size() * sizeof(ConstraintAtom);
-    N += KS.ResultHashes.size() * sizeof(uint64_t) * 2;
-    N += KS.Seen.size() * sizeof(uint64_t) * 2;
-    N += KS.WaiterHashes.size() * sizeof(uint64_t) * 2;
+      N += CondBytes(T.Cond);
+    N += KS.ResultHashes.approxBytes();
+    N += KS.Seen.approxBytes();
+    N += KS.WaiterHashes.approxBytes();
     N += KS.Waiters.size() * sizeof(Waiter);
+    for (const Waiter &W : KS.Waiters)
+      N += CondBytes(W.CondAtCall);
     N += KS.WL.size() * sizeof(TraversalTuple);
+    for (const TraversalTuple &T : KS.WL)
+      N += CondBytes(T.Cond);
   }
-  N += KeyIndex.size() * (sizeof(std::pair<ir::LocId, uint64_t>) + 48);
+  N += KeyIndex.size() *
+       (MapNodeHeader + sizeof(decltype(KeyIndex)::value_type));
   for (const auto &[K, Bits] : FsciMemo) {
     (void)K;
-    N += 48 + Bits.count() / 8;
+    N += MapNodeHeader + sizeof(decltype(FsciMemo)::value_type) +
+         Bits.approxBytes();
   }
   return N;
 }

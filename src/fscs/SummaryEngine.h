@@ -47,6 +47,7 @@
 #include "fscs/Constraint.h"
 #include "ir/CallGraph.h"
 #include "ir/Ir.h"
+#include "support/FlatHashSet.h"
 #include "support/SparseBitVector.h"
 #include "support/Statistics.h"
 
@@ -57,7 +58,6 @@
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace bsaa {
@@ -248,11 +248,11 @@ public:
     ir::LocId AnchorLoc;
     ir::Ref R;
     std::vector<SummaryTuple> Results;
-    std::unordered_set<uint64_t> ResultHashes;
+    FlatHashSet ResultHashes;
     TraversalQueue WL;
-    std::unordered_set<uint64_t> Seen; ///< Tuples ever enqueued.
-    std::vector<Waiter> Waiters;       ///< Splices fed by this key.
-    std::unordered_set<uint64_t> WaiterHashes;
+    FlatHashSet Seen;            ///< Tuples ever enqueued.
+    std::vector<Waiter> Waiters; ///< Splices fed by this key.
+    FlatHashSet WaiterHashes;
   };
 
   /// The complete memoized product of an engine run. Opaque to callers
@@ -421,7 +421,8 @@ private:
   std::vector<ir::LocId> SkipStack;
   std::vector<uint8_t> InterestingCache; ///< 0 unknown, 1 no, 2 yes.
 
-  std::unordered_set<uint64_t> FsciInProgress; ///< Vars being computed.
+  /// Variable -> its FSCI set is being computed (sized on first use).
+  std::vector<uint8_t> FsciInProgress;
   SparseBitVector EmptySet;
 };
 

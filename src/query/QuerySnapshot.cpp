@@ -102,7 +102,7 @@ QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
     // A truncated run may have *lost* alias origins (it never invents
     // them), so its "no alias" verdicts are untrustworthy; route the
     // whole cluster through the fallback chain.
-    NeedsFallback[CI] = (R.BudgetHit || R.Approximated) ? 1 : 0;
+    NeedsFallback[CI] = R.needsFallback() ? 1 : 0;
     RunKeys[CI] = R.RunKey;
   }
 }
@@ -122,6 +122,10 @@ const std::vector<uint32_t> &QuerySnapshot::clustersOf(ir::VarId V) const {
 
 std::shared_ptr<QuerySnapshot::Entry>
 QuerySnapshot::materialize(uint32_t ClusterIdx) const {
+  // The summary cache keeps only the verdict of a fallback cluster's
+  // run; there is no fixpoint to adopt or to answer from.
+  assert(!NeedsFallback[ClusterIdx] &&
+         "fallback clusters are answered by the fallback chain");
   std::shared_ptr<Entry> E;
   {
     std::lock_guard<std::mutex> Lock(LruMutex);

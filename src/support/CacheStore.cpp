@@ -23,31 +23,50 @@ using namespace bsaa::support;
 
 namespace {
 
-struct Crc32Table {
-  uint32_t T[256];
-  Crc32Table() {
+/// Slicing-by-8 tables: T[0] is the classic byte-at-a-time table, and
+/// T[K][B] advances T[K-1][B] by one more zero byte, so eight table
+/// lookups fold eight input bytes at once.
+struct Crc32Tables {
+  uint32_t T[8][256];
+  Crc32Tables() {
     for (uint32_t I = 0; I < 256; ++I) {
       uint32_t C = I;
       for (int K = 0; K < 8; ++K)
         C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
+      T[0][I] = C;
     }
+    for (uint32_t I = 0; I < 256; ++I)
+      for (int K = 1; K < 8; ++K)
+        T[K][I] = T[0][T[K - 1][I] & 0xffu] ^ (T[K - 1][I] >> 8);
   }
 };
 
-const Crc32Table &crcTable() {
-  static const Crc32Table Table;
-  return Table;
+const Crc32Tables &crcTables() {
+  static const Crc32Tables Tables;
+  return Tables;
+}
+
+/// Little-endian 32-bit load from any alignment.
+uint32_t loadLe32(const uint8_t *P) {
+  return uint32_t(P[0]) | uint32_t(P[1]) << 8 | uint32_t(P[2]) << 16 |
+         uint32_t(P[3]) << 24;
 }
 
 } // namespace
 
 uint32_t bsaa::support::crc32(const void *Data, size_t Len, uint32_t Seed) {
   const uint8_t *P = static_cast<const uint8_t *>(Data);
-  const Crc32Table &Tab = crcTable();
+  const auto &T = crcTables().T;
   uint32_t C = Seed ^ 0xffffffffu;
-  for (size_t I = 0; I < Len; ++I)
-    C = Tab.T[(C ^ P[I]) & 0xffu] ^ (C >> 8);
+  for (; Len >= 8; P += 8, Len -= 8) {
+    uint32_t Lo = C ^ loadLe32(P);
+    uint32_t Hi = loadLe32(P + 4);
+    C = T[7][Lo & 0xffu] ^ T[6][(Lo >> 8) & 0xffu] ^
+        T[5][(Lo >> 16) & 0xffu] ^ T[4][Lo >> 24] ^ T[3][Hi & 0xffu] ^
+        T[2][(Hi >> 8) & 0xffu] ^ T[1][(Hi >> 16) & 0xffu] ^ T[0][Hi >> 24];
+  }
+  for (; Len > 0; ++P, --Len)
+    C = T[0][(C ^ *P) & 0xffu] ^ (C >> 8);
   return C ^ 0xffffffffu;
 }
 

@@ -152,6 +152,37 @@ TEST(Crc32, KnownVectorAndChaining) {
   EXPECT_EQ(support::crc32(S, 0), 0u);
 }
 
+TEST(Crc32, MatchesBytewiseReference) {
+  // The table-free bit-serial definition of CRC-32 (IEEE, reflected).
+  auto Reference = [](const uint8_t *P, size_t Len, uint32_t Seed) {
+    uint32_t C = Seed ^ 0xffffffffu;
+    for (size_t I = 0; I < Len; ++I) {
+      C ^= P[I];
+      for (int K = 0; K < 8; ++K)
+        C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
+    }
+    return C ^ 0xffffffffu;
+  };
+  std::mt19937_64 Rng(11);
+  std::vector<uint8_t> Buf(4096 + 16);
+  for (uint8_t &B : Buf)
+    B = static_cast<uint8_t>(Rng());
+  for (int Trial = 0; Trial < 2000; ++Trial) {
+    // Every alignment, lengths around the 8-byte stride and beyond.
+    size_t Offset = Rng() % 16;
+    size_t Len = Trial < 64 ? static_cast<size_t>(Trial) : Rng() % 4096;
+    uint32_t Seed = Trial % 3 == 0 ? 0 : static_cast<uint32_t>(Rng());
+    const uint8_t *P = Buf.data() + Offset;
+    ASSERT_EQ(support::crc32(P, Len, Seed), Reference(P, Len, Seed))
+        << "offset " << Offset << " len " << Len << " seed " << Seed;
+    // Chaining at an arbitrary split equals the one-shot checksum.
+    size_t Split = Len == 0 ? 0 : Rng() % (Len + 1);
+    ASSERT_EQ(support::crc32(P + Split, Len - Split,
+                             support::crc32(P, Split, Seed)),
+              Reference(P, Len, Seed));
+  }
+}
+
 TEST(ByteIo, RoundTrip) {
   ByteWriter W;
   W.u8(0xab);

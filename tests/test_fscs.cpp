@@ -11,11 +11,15 @@
 #include "core/AliasCover.h"
 #include "core/BootstrapDriver.h"
 #include "core/RelevantStatements.h"
+#include "core/StoreCodecs.h"
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
 #include "fscs/ClusterAliasAnalysis.h"
+#include "fscs/StateCodec.h"
+#include "fscs/SummaryCache.h"
 #include "fscs/SummaryEngine.h"
 #include "ir/CallGraph.h"
+#include "query/QuerySnapshot.h"
 #include "support/ContentHash.h"
 #include "support/Statistics.h"
 #include "workload/BenchmarkSuite.h"
@@ -23,6 +27,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <tuple>
 
 using namespace bsaa;
 using namespace bsaa::fscs;
@@ -599,6 +606,168 @@ TEST(Fscs, ExplorationOrderIsPinned) {
   support::Digest D = H.digest();
   EXPECT_EQ(D.Hi, 0xd4e9baa64f6f911bull);
   EXPECT_EQ(D.Lo, 0xa2d3c43163c7f3e5ull);
+}
+
+TEST(Fscs, FallbackRunsCacheOnlyTheirVerdict) {
+  // A run that hit the step budget or approximated a dereference is
+  // answered by the fallback chain, so the summary cache keeps its
+  // verdict and accounting but not its fixpoint. Over the Table-1 suite
+  // under Table 1's budget, check that those records are that small,
+  // that snapshots answer alike over them, over a warm restart that
+  // decodes every record from a store, and (for pairs that touch no
+  // complete cluster) over no cache at all, and that adopting a dropped
+  // record by mistake could only produce incomplete answers.
+  std::string Tmpl =
+      (std::filesystem::temp_directory_path() / "bsaa_fallback_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(Tmpl.data()), nullptr);
+  struct RemoveDir {
+    std::string Path;
+    ~RemoveDir() {
+      std::error_code Ec;
+      std::filesystem::remove_all(Path, Ec);
+    }
+  } Dir{Tmpl};
+
+  core::StatsJsonOptions Replayable;
+  Replayable.IncludeTimings = false;
+  Replayable.IncludeCacheStats = false;
+  fscs::SummaryEngine::Options EngineOpts;
+  EngineOpts.StepBudget = 30000;
+  uint64_t Fallbacks = 0, Completes = 0, Pairs = 0, FallbackPairs = 0;
+  uint64_t Row = 0;
+  for (workload::SuiteEntry &E : workload::table1Suite(0.01)) {
+    SCOPED_TRACE(E.Name);
+    E.Config.Seed = 1000 + Row++;
+    frontend::Diagnostics Diags;
+    std::shared_ptr<const ir::Program> P =
+        frontend::compileString(workload::generateProgram(E.Config), Diags);
+    ASSERT_TRUE(P != nullptr) << Diags.toString();
+
+    // Three runs of the same cascade: cached and writing through to
+    // the store, a warm restart over fresh caches and the reopened
+    // store, and no cache at all.
+    auto Run = [&](bool Cache, std::vector<core::Cluster> *Cover) {
+      core::BootstrapOptions Opts;
+      Opts.EngineOpts = EngineOpts;
+      Opts.StatsRegistry = std::make_shared<Statistics>();
+      if (Cache) {
+        Opts.SummaryCache = std::make_shared<fscs::SummaryCache>();
+        Opts.StorePath = Dir.Path;
+        core::openStoreAndAttach(Opts);
+      }
+      core::BootstrapDriver Driver(*P, Opts);
+      Driver.steensgaard();
+      *Cover = Driver.buildCover();
+      core::BootstrapResult R = Driver.runAll(*Cover);
+      std::string Json = core::toStatsJson(R, Replayable, *Opts.StatsRegistry);
+      query::QueryOptions QOpts;
+      QOpts.EngineOpts = EngineOpts;
+      QOpts.MaxMaterializedClusters = Cover->size();
+      auto Snap = query::QuerySnapshot::build(P, *Cover, &R.Clusters, QOpts,
+                                              Opts.SummaryCache);
+      return std::make_tuple(std::move(R), std::move(Json), Snap,
+                             Opts.SummaryCache);
+    };
+    std::vector<core::Cluster> Cover, WarmCover, BareCover;
+    auto [R, Json, Snap, Cache] = Run(true, &Cover);
+    auto [WarmR, WarmJson, WarmSnap, WarmCache] = Run(true, &WarmCover);
+    auto [BareR, BareJson, BareSnap, BareCache] = Run(false, &BareCover);
+    ASSERT_EQ(WarmCache->counters().Inserts, 0u)
+        << "the restart must revive every run from the store";
+    EXPECT_EQ(Json, WarmJson);
+    EXPECT_EQ(Json, BareJson);
+    ASSERT_EQ(Cover.size(), R.Clusters.size());
+
+    ir::CallGraph CG(*P);
+    analysis::SteensgaardAnalysis Steens(*P);
+    Steens.run();
+    for (uint32_t CI = 0; CI < Cover.size(); ++CI) {
+      const core::ClusterRunResult &C = R.Clusters[CI];
+      for (const auto &Source : {Cache, WarmCache}) {
+        std::shared_ptr<const fscs::CachedClusterRun> Hit =
+            Source->lookup(C.RunKey);
+        ASSERT_TRUE(Hit != nullptr) << "cluster " << CI;
+        const fscs::SummaryEngine::State &St = Hit->Engine;
+        EXPECT_EQ(Hit->Stats.BudgetHit, C.BudgetHit);
+        EXPECT_EQ(Hit->Stats.Steps, C.Steps);
+        if (!C.needsFallback()) {
+          // A complete run keeps its whole fixpoint for adoption.
+          EXPECT_EQ(St.Keys.size(), C.SummaryKeys) << "cluster " << CI;
+          continue;
+        }
+        EXPECT_TRUE(St.Keys.empty()) << "cluster " << CI;
+        EXPECT_TRUE(St.KeyIndex.empty()) << "cluster " << CI;
+        EXPECT_TRUE(St.FsciMemo.empty()) << "cluster " << CI;
+        EXPECT_EQ(St.Steps, C.Steps);
+        EXPECT_EQ(St.BudgetHit, C.BudgetHit);
+        EXPECT_EQ(St.Approximated, C.Approximated);
+        support::ByteWriter W;
+        fscs::encodeCachedClusterRun(*Hit, W);
+        EXPECT_LT(W.bytes().size(), 256u) << "cluster " << CI;
+      }
+      if (!C.needsFallback()) {
+        ++Completes;
+        continue;
+      }
+      ++Fallbacks;
+      EXPECT_TRUE(Snap->clusterNeedsFallback(CI));
+
+      // A mistaken adoption answers nothing as complete.
+      fscs::ClusterAliasAnalysis AA(*P, CG, Steens, Cover[CI], EngineOpts);
+      fscs::SummaryEngine::State Copy = Cache->lookup(C.RunKey)->Engine;
+      AA.adoptState(std::move(Copy), Cache->lookup(C.RunKey)->Dove);
+      for (ir::VarId V : Cover[CI].Members) {
+        const ir::Variable &Var = P->var(V);
+        if (!Var.isPointer() || Var.Owner == ir::InvalidFunc)
+          continue;
+        EXPECT_FALSE(AA.pointsTo(V, P->func(Var.Owner).Exit).Complete)
+            << "cluster " << CI << " var " << V;
+      }
+    }
+
+    // Every same-cluster pointer pair: the warm restart answers it
+    // exactly as the run that wrote the store. A pair whose shared
+    // clusters all fell back never touches a cached record, and gets
+    // the uncached run's answer too. (Pairs in a complete cluster may
+    // not: an adopted fixpoint carries its run's step count into later
+    // queries, while a fresh materialization starts from the dovetail.)
+    for (const core::Cluster &C : Cover) {
+      std::vector<ir::VarId> Ptrs;
+      for (ir::VarId V : C.Members)
+        if (P->var(V).isPointer())
+          Ptrs.push_back(V);
+      for (size_t I = 0; I < Ptrs.size(); ++I) {
+        for (size_t J = I + 1; J < Ptrs.size(); ++J) {
+          ir::VarId X = Ptrs[I], Y = Ptrs[J];
+          query::AliasAnswer A = Snap->mayAlias(X, Y);
+          query::AliasAnswer W = WarmSnap->mayAlias(X, Y);
+          ASSERT_EQ(A.MayAlias, W.MayAlias) << X << "," << Y;
+          ASSERT_EQ(A.Source, W.Source) << X << "," << Y;
+          ++Pairs;
+          const std::vector<uint32_t> &CX = Snap->clustersOf(X);
+          const std::vector<uint32_t> &CY = Snap->clustersOf(Y);
+          bool OnlyFallback = true;
+          for (uint32_t CI : CX)
+            if (std::binary_search(CY.begin(), CY.end(), CI))
+              OnlyFallback &= R.Clusters[CI].needsFallback();
+          if (!OnlyFallback)
+            continue;
+          query::AliasAnswer B = BareSnap->mayAlias(X, Y);
+          ASSERT_EQ(A.MayAlias, B.MayAlias) << X << "," << Y;
+          ASSERT_EQ(A.Source, B.Source) << X << "," << Y;
+          ++FallbackPairs;
+        }
+      }
+    }
+  }
+  // The check has teeth only if some runs fell back and others did not.
+  EXPECT_GT(Fallbacks, 0u);
+  EXPECT_GT(Completes, Fallbacks);
+  // Seeds 1000..1019: 14 of 597 runs fall back; 28,774 pairs, 15,716 of
+  // them in fallback clusters only.
+  EXPECT_GT(Pairs, 10000u);
+  EXPECT_GT(FallbackPairs, 1000u);
 }
 
 //===--------------------------------------------------------------------===//

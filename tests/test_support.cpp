@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/ContentHash.h"
+#include "support/FlatHashSet.h"
 #include "support/GraphWriter.h"
 #include "support/LatencyHistogram.h"
 #include "support/Scc.h"
@@ -17,11 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <random>
 #include <set>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 using namespace bsaa;
@@ -266,6 +269,81 @@ TEST(SparseBitVector, RandomizedAgainstStdSet) {
   std::vector<uint32_t> Got = V.toVector();
   std::vector<uint32_t> Want(Model.begin(), Model.end());
   EXPECT_EQ(Got, Want);
+}
+
+//===--------------------------------------------------------------------===//
+// FlatHashSet
+//===--------------------------------------------------------------------===//
+
+TEST(FlatHashSet, RandomizedAgainstUnorderedSet) {
+  for (uint32_t Seed = 1; Seed <= 8; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::mt19937_64 Rng(Seed);
+    FlatHashSet S;
+    std::unordered_set<uint64_t> Model;
+    size_t SlotChanges = 0;
+    uint64_t LastBytes = 0;
+    auto Draw = [&]() -> uint64_t {
+      switch (Rng() % 5) {
+      case 0:
+        return 0; // The key an empty slot cannot hold.
+      case 1:
+        return Rng() % 64; // Small range: many duplicates.
+      case 2:
+        return (Rng() % 64) << 40; // Equal low bits.
+      default:
+        return Rng();
+      }
+    };
+    for (int Step = 0; Step < 6000; ++Step) {
+      uint64_t K = Draw();
+      ASSERT_EQ(S.insert(K), Model.insert(K).second) << "key " << K;
+      ASSERT_EQ(S.size(), Model.size());
+      uint64_t Probe = Draw();
+      ASSERT_EQ(S.contains(Probe), Model.count(Probe) > 0)
+          << "probe " << Probe;
+      if (S.approxBytes() != LastBytes) {
+        ++SlotChanges;
+        LastBytes = S.approxBytes();
+      }
+    }
+    EXPECT_GE(SlotChanges, 5u) << "the set must have rehashed repeatedly";
+    EXPECT_TRUE(S.contains(0));
+
+    // Iteration yields exactly the members, each once.
+    std::vector<uint64_t> Got(S.begin(), S.end());
+    std::vector<uint64_t> Want(Model.begin(), Model.end());
+    std::sort(Got.begin(), Got.end());
+    std::sort(Want.begin(), Want.end());
+    EXPECT_EQ(Got, Want);
+
+    // A copy, and a set reserved up front, hold the same members in the
+    // same number of slots.
+    FlatHashSet Copy = S;
+    EXPECT_EQ(Copy.approxBytes(), S.approxBytes());
+    EXPECT_TRUE(std::equal(Copy.begin(), Copy.end(), S.begin(), S.end()));
+    FlatHashSet Reserved;
+    Reserved.reserve(Model.size() - 1); // 0 lives outside the slots.
+    uint64_t ReservedBytes = Reserved.approxBytes();
+    for (uint64_t K : Model)
+      Reserved.insert(K);
+    EXPECT_EQ(Reserved.approxBytes(), ReservedBytes);
+    EXPECT_EQ(Reserved.approxBytes(), S.approxBytes());
+  }
+}
+
+TEST(FlatHashSet, EmptySetAndZeroOnly) {
+  FlatHashSet S;
+  EXPECT_TRUE(S.empty());
+  EXPECT_EQ(S.begin(), S.end());
+  EXPECT_FALSE(S.contains(0));
+  EXPECT_EQ(S.approxBytes(), 0u);
+  EXPECT_TRUE(S.insert(0));
+  EXPECT_FALSE(S.insert(0));
+  EXPECT_EQ(S.size(), 1u);
+  EXPECT_EQ(S.approxBytes(), 0u) << "0 needs no slot";
+  std::vector<uint64_t> Members(S.begin(), S.end());
+  EXPECT_EQ(Members, std::vector<uint64_t>{0});
 }
 
 //===--------------------------------------------------------------------===//
