@@ -80,9 +80,10 @@ SparseBitVector ClusterAliasAnalysis::walkOrigins(SummaryEngine &E, VarId V,
   SparseBitVector Objects;
   FlatHashSet Visited;
   std::deque<std::pair<FuncId, Ref>> Queue;
+  std::vector<SummaryEngine::OriginResult> Origins;
 
-  auto Handle = [&](FuncId Owner, std::vector<SummaryTuple> Tuples) {
-    for (SummaryTuple &T : Tuples) {
+  auto Handle = [&](FuncId Owner) {
+    for (const SummaryEngine::OriginResult &T : Origins) {
       if (!E.satisfiable(T.Cond))
         continue;
       if (T.isResolved()) {
@@ -100,13 +101,16 @@ SparseBitVector ClusterAliasAnalysis::walkOrigins(SummaryEngine &E, VarId V,
     }
   };
 
-  Handle(Prog.loc(Loc).Owner, E.originsBefore(Loc, Ref::direct(V)));
+  E.originsBefore(Loc, Ref::direct(V), Origins);
+  Handle(Prog.loc(Loc).Owner);
   while (!Queue.empty()) {
     auto [F, W] = Queue.front();
     Queue.pop_front();
     for (FuncId Caller : CG.callers(F))
-      for (LocId C : CG.callSites(Caller, F))
-        Handle(Caller, E.originsBefore(C, W));
+      for (LocId C : CG.callSites(Caller, F)) {
+        E.originsBefore(C, W, Origins);
+        Handle(Caller);
+      }
   }
   return Objects;
 }
@@ -214,10 +218,12 @@ ClusterAliasAnalysis::pointsToInContext(VarId V, LocId Loc,
   };
   Push(Ref::direct(V), Loc, Ctx.size());
 
+  std::vector<SummaryEngine::OriginResult> Origins;
   while (!Queue.empty()) {
     Item It = Queue.front();
     Queue.pop_front();
-    for (SummaryTuple &T : Engine->originsBefore(It.At, It.R)) {
+    Engine->originsBefore(It.At, It.R, Origins);
+    for (const SummaryEngine::OriginResult &T : Origins) {
       if (!Engine->satisfiable(T.Cond))
         continue;
       if (T.isResolved()) {

@@ -91,15 +91,28 @@ bool Condition::fromCanonicalAtoms(std::vector<ConstraintAtom> Atoms,
   return true;
 }
 
-uint64_t Condition::hash() const {
-  uint64_t H = IsFalse ? 0x12345 : 0xcbf29ce484222325ull;
-  for (const ConstraintAtom &A : Atoms) {
-    for (uint64_t V :
-         {uint64_t(A.Loc), uint64_t(A.Kind), uint64_t(A.A), uint64_t(A.B)}) {
-      H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-    }
-  }
+namespace {
+
+uint64_t mixAtom(uint64_t H, const ConstraintAtom &A) {
+  for (uint64_t V :
+       {uint64_t(A.Loc), uint64_t(A.Kind), uint64_t(A.A), uint64_t(A.B)})
+    H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
   return H;
+}
+
+constexpr uint64_t TrueHash = 0xcbf29ce484222325ull;
+
+} // namespace
+
+uint64_t Condition::hash() const {
+  uint64_t H = IsFalse ? 0x12345 : TrueHash;
+  for (const ConstraintAtom &A : Atoms)
+    H = mixAtom(H, A);
+  return H;
+}
+
+uint64_t Condition::hashOf(const ConstraintAtom &A) {
+  return mixAtom(TrueHash, A);
 }
 
 std::string Condition::toString(const ir::Program &P) const {

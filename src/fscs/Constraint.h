@@ -108,6 +108,8 @@ public:
   }
 
   uint64_t hash() const;
+  /// hash() of the one-atom condition {\p A}.
+  static uint64_t hashOf(const ConstraintAtom &A);
 
   std::string toString(const ir::Program &P) const;
 

@@ -2,6 +2,8 @@
 
 #include "fscs/StateCodec.h"
 
+#include "support/FlatHashMap.h"
+
 #include <algorithm>
 
 using namespace bsaa;
@@ -49,39 +51,34 @@ void encodeSparseBitVector(const SparseBitVector &S, ByteWriter &W) {
 }
 
 void encodeState(const SummaryEngine::State &St, ByteWriter &W) {
+  W.u32(static_cast<uint32_t>(St.Conds.size()));
+  for (const Condition &C : St.Conds)
+    encodeCondition(C, W);
   W.u32(static_cast<uint32_t>(St.Keys.size()));
   for (const SummaryEngine::KeyState &K : St.Keys) {
     W.u32(K.AnchorLoc);
     encodeRef(K.R, W);
     W.u32(static_cast<uint32_t>(K.Results.size()));
-    for (const SummaryTuple &T : K.Results) {
-      encodeRef(T.Anchor, W);
-      W.u32(T.AnchorLoc);
+    for (const SummaryEngine::OriginResult &T : K.Results) {
       encodeRef(T.Origin, W);
-      encodeCondition(T.Cond, W);
+      W.u32(T.Cond);
     }
     encodeHashSet(K.ResultHashes, W);
     W.u32(static_cast<uint32_t>(K.WL.size()));
     for (const SummaryEngine::TraversalTuple &T : K.WL) {
       W.u32(T.M);
       encodeRef(T.Q, W);
-      encodeCondition(T.Cond, W);
+      W.u32(T.Cond);
     }
     encodeHashSet(K.Seen, W);
     W.u32(static_cast<uint32_t>(K.Waiters.size()));
     for (const SummaryEngine::Waiter &Wt : K.Waiters) {
       W.u32(Wt.Dependent);
       W.u32(Wt.CallLoc);
-      encodeCondition(Wt.CondAtCall, W);
+      W.u32(Wt.CondAtCall);
       W.u64(Wt.Consumed);
     }
     encodeHashSet(K.WaiterHashes, W);
-  }
-  W.u32(static_cast<uint32_t>(St.KeyIndex.size()));
-  for (const auto &[MapKey, Id] : St.KeyIndex) {
-    W.u32(MapKey.first);
-    W.u64(MapKey.second);
-    W.u32(Id);
   }
   W.u32(static_cast<uint32_t>(St.FsciMemo.size()));
   for (const auto &[MapKey, Bits] : St.FsciMemo) {
@@ -191,23 +188,73 @@ bool decodeSparseBitVector(ByteReader &R, SparseBitVector &Out) {
   return R.ok();
 }
 
+/// The condition table: id 0 is true, id 1 is false, and no condition
+/// appears twice (the engine's interning finds each one by content).
+bool decodeConditions(ByteReader &R, std::vector<Condition> &Conds) {
+  uint32_t N = R.u32();
+  if (!plausibleCount(R, N))
+    return false;
+  if (N < 2) {
+    R.fail();
+    return false;
+  }
+  // Grown as entries decode, so a corrupt count cannot allocate ahead
+  // of the bytes that back it.
+  Conds.clear();
+  FlatHashMap Index;
+  for (uint32_t Id = 0; Id < N; ++Id) {
+    Condition C;
+    if (!decodeCondition(R, C))
+      return false;
+    uint64_t H = C.hash();
+    bool Misplaced = (Id == SummaryEngine::TrueCond && !C.isTrue()) ||
+                     (Id == SummaryEngine::FalseCond && !C.isFalse());
+    if (Misplaced || Index.find(H, [&](uint32_t Prev) {
+                       return Conds[Prev] == C;
+                     }) != FlatHashMap::NoValue) {
+      R.fail();
+      return false;
+    }
+    Index.insert(H, Id);
+    Conds.push_back(std::move(C));
+  }
+  return true;
+}
+
+/// A condition id, which must index the table.
+bool decodeCondId(ByteReader &R, size_t NumConds,
+                  SummaryEngine::CondId &Out) {
+  Out = R.u32();
+  if (Out >= NumConds) {
+    R.fail();
+    return false;
+  }
+  return true;
+}
+
 bool decodeState(ByteReader &R, SummaryEngine::State &St) {
+  if (!decodeConditions(R, St.Conds))
+    return false;
+  size_t NumConds = St.Conds.size();
   uint32_t NumKeys = R.u32();
   if (!plausibleCount(R, NumKeys))
     return false;
   St.Keys.resize(NumKeys);
+  // Keys are unique by (AnchorLoc, R): the engine's key index, rebuilt
+  // on import, finds each key by them.
+  std::vector<std::pair<ir::LocId, ir::Ref>> Seen;
+  Seen.reserve(NumKeys);
   for (SummaryEngine::KeyState &K : St.Keys) {
     K.AnchorLoc = R.u32();
     K.R = decodeRef(R);
+    Seen.emplace_back(K.AnchorLoc, K.R);
     uint32_t NumResults = R.u32();
     if (!plausibleCount(R, NumResults))
       return false;
     K.Results.resize(NumResults);
-    for (SummaryTuple &T : K.Results) {
-      T.Anchor = decodeRef(R);
-      T.AnchorLoc = R.u32();
+    for (SummaryEngine::OriginResult &T : K.Results) {
       T.Origin = decodeRef(R);
-      if (!decodeCondition(R, T.Cond))
+      if (!decodeCondId(R, NumConds, T.Cond))
         return false;
     }
     if (!decodeHashSet(R, K.ResultHashes))
@@ -219,9 +266,9 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
       SummaryEngine::TraversalTuple T;
       T.M = R.u32();
       T.Q = decodeRef(R);
-      if (!decodeCondition(R, T.Cond))
+      if (!decodeCondId(R, NumConds, T.Cond))
         return false;
-      K.WL.push_back(std::move(T));
+      K.WL.push_back(T);
     }
     if (!decodeHashSet(R, K.Seen))
       return false;
@@ -236,31 +283,17 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
         return false;
       }
       Wt.CallLoc = R.u32();
-      if (!decodeCondition(R, Wt.CondAtCall))
+      if (!decodeCondId(R, NumConds, Wt.CondAtCall))
         return false;
       Wt.Consumed = static_cast<size_t>(R.u64());
     }
     if (!decodeHashSet(R, K.WaiterHashes))
       return false;
   }
-
-  uint32_t NumIndex = R.u32();
-  if (!plausibleCount(R, NumIndex))
+  std::sort(Seen.begin(), Seen.end());
+  if (std::adjacent_find(Seen.begin(), Seen.end()) != Seen.end()) {
+    R.fail();
     return false;
-  std::pair<ir::LocId, uint64_t> PrevIdxKey{};
-  for (uint32_t I = 0; I < NumIndex; ++I) {
-    std::pair<ir::LocId, uint64_t> MapKey;
-    MapKey.first = R.u32();
-    MapKey.second = R.u64();
-    uint32_t Id = R.u32();
-    // Strictly ascending keys (encode order) + in-range ids: the
-    // decoded map is exactly the encoded one, rebuilt in O(n).
-    if (!R.ok() || Id >= NumKeys || (I > 0 && !(PrevIdxKey < MapKey))) {
-      R.fail();
-      return false;
-    }
-    St.KeyIndex.emplace_hint(St.KeyIndex.end(), MapKey, Id);
-    PrevIdxKey = MapKey;
   }
 
   uint32_t NumMemo = R.u32();

@@ -17,11 +17,22 @@ uint64_t refHash(Ref R) {
   return (uint64_t(R.Var) << 2) | uint64_t(uint8_t(R.Deref + 1));
 }
 
-uint64_t tupleHash(LocId M, Ref Q, const Condition &Cond) {
-  uint64_t H = Cond.hash();
+/// Hash of a traversal tuple, from its condition's content hash.
+uint64_t tupleHash(LocId M, Ref Q, uint64_t CondHash) {
+  uint64_t H = CondHash;
   H ^= (uint64_t(M) << 32) ^ refHash(Q);
   H *= 0x9e3779b97f4a7c15ull;
   return H;
+}
+
+/// Hash of a result (origin, condition content hash).
+uint64_t resultHash(Ref Origin, uint64_t CondHash) {
+  return refHash(Origin) * 0x100000001b3ull ^ CondHash;
+}
+
+/// KeyIndex hash of a summary key.
+uint64_t keyHash(LocId Loc, Ref R) {
+  return uint64_t(Loc) * 0x9e3779b97f4a7c15ull ^ refHash(R);
 }
 
 ConstraintAtom atom(LocId Loc, ConstraintKind Kind, VarId A, VarId B) {
@@ -43,6 +54,7 @@ SummaryEngine::SummaryEngine(const Program &P, const CallGraph &CG,
   for (LocId L : C.Statements)
     InSlice[L] = 1;
   buildModifyInfo();
+  indexConditions();
 }
 
 //===--------------------------------------------------------------------===//
@@ -118,45 +130,47 @@ bool SummaryEngine::mayModify(FuncId G, Ref Q) {
 //===--------------------------------------------------------------------===//
 
 SummaryEngine::KeyId SummaryEngine::ensureKey(LocId Loc, Ref R) {
-  auto MapKey = std::make_pair(Loc, refHash(R));
-  auto It = St.KeyIndex.find(MapKey);
-  if (It != St.KeyIndex.end())
-    return It->second;
+  uint64_t H = keyHash(Loc, R);
+  KeyId Found = KeyIndex.find(H, [&](KeyId K) {
+    return St.Keys[K].AnchorLoc == Loc && St.Keys[K].R == R;
+  });
+  if (Found != FlatHashMap::NoValue)
+    return Found;
   KeyId K = static_cast<KeyId>(St.Keys.size());
   St.Keys.emplace_back();
   KeyActive.push_back(0);
   FeedQueued.push_back(0);
   St.Keys[K].AnchorLoc = Loc;
   St.Keys[K].R = R;
-  St.KeyIndex.emplace(MapKey, K);
+  KeyIndex.insert(H, K);
 
   if (R.Deref < 0) {
     // &o is already an origin.
-    addResult(K, R, Condition());
+    addResult(K, R, TrueCond);
     return K;
   }
-  enqueue(K, TraversalTuple{Loc, R, Condition()});
+  enqueue(K, TraversalTuple{Loc, R, TrueCond});
   return K;
 }
 
 void SummaryEngine::enqueue(KeyId K, TraversalTuple T) {
   if (St.BudgetHit)
     return;
-  if (T.Cond.isFalse())
+  if (T.Cond == FalseCond)
     return;
-  uint64_t H = tupleHash(T.M, T.Q, T.Cond);
+  uint64_t H = tupleHash(T.M, T.Q, CondMeta[T.Cond].Hash);
   KeyState &KS = St.Keys[K];
   if (!KS.Seen.insert(H))
     return;
-  KS.WL.push_back(std::move(T));
+  KS.WL.push_back(T);
   if (!KeyActive[K]) {
     KeyActive[K] = 1;
     ActiveKeys.push_back(K);
   }
 }
 
-void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
-  if (Cond.isFalse())
+void SummaryEngine::addResult(KeyId K, Ref Origin, CondId Cond) {
+  if (Cond == FalseCond)
     return;
   // Cheap memo-only pruning of conditions already known unsatisfiable.
   if (!satisfiable(Cond))
@@ -164,18 +178,13 @@ void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
   // Beyond the per-key cap, collapse to an unconditional origin: sound
   // widening that keeps recursive SCC splices from cross-multiplying
   // condition variants without bound.
-  Condition Effective = Cond;
+  CondId Effective = Cond;
   if (St.Keys[K].Results.size() >= Opts.MaxResultsPerKey)
-    Effective = Condition();
-  uint64_t H = refHash(Origin) * 0x100000001b3ull ^ Effective.hash();
+    Effective = TrueCond;
+  uint64_t H = resultHash(Origin, CondMeta[Effective].Hash);
   if (!St.Keys[K].ResultHashes.insert(H))
     return;
-  SummaryTuple Tuple;
-  Tuple.Anchor = St.Keys[K].R;
-  Tuple.AnchorLoc = St.Keys[K].AnchorLoc;
-  Tuple.Origin = Origin;
-  Tuple.Cond = Effective;
-  St.Keys[K].Results.push_back(std::move(Tuple));
+  St.Keys[K].Results.push_back(OriginResult{Origin, Effective});
   // Queue the key for waiter feeding; doing it inline would recurse
   // through result -> splice -> result chains and overflow the stack on
   // deep explorations.
@@ -187,25 +196,25 @@ void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
 
 void SummaryEngine::feedWaiter(KeyId Provider, size_t WaiterIdx) {
   // addResult can grow Dependent's Results, and Dependent may be
-  // Provider: everything read from the provider tuple (the merged
-  // condition and Origin) is taken before addResult or propagate runs,
-  // and St.Keys[Provider] is re-indexed on every iteration.
+  // Provider: the waiter and the provider tuple are copied before
+  // addResult or propagate runs, and St.Keys[Provider] is re-indexed on
+  // every iteration.
   for (;;) {
     KeyState &PS = St.Keys[Provider];
-    Waiter &W = PS.Waiters[WaiterIdx];
-    if (W.Consumed >= PS.Results.size())
+    Waiter &WRef = PS.Waiters[WaiterIdx];
+    if (WRef.Consumed >= PS.Results.size())
       return;
-    const SummaryTuple &R = PS.Results[W.Consumed++];
-    Condition Merged = W.CondAtCall.conjoinAll(R.Cond, Opts.MaxCondAtoms);
-    if (Merged.isFalse())
+    OriginResult R = PS.Results[WRef.Consumed++];
+    Waiter W = WRef;
+    CondId Merged = conjoin(W.CondAtCall, R.Cond);
+    if (Merged == FalseCond)
       continue;
-    Ref Origin = R.Origin;
     if (R.isResolved()) {
-      addResult(W.Dependent, Origin, Merged);
+      addResult(W.Dependent, R.Origin, Merged);
     } else {
       // Continue the caller-side traversal above the call with the
       // callee's entry ref substituted (the splice step).
-      propagate(W.Dependent, W.CallLoc, Origin, Merged);
+      propagate(W.Dependent, W.CallLoc, R.Origin, Merged);
     }
   }
 }
@@ -266,9 +275,8 @@ const std::vector<LocId> &SummaryEngine::interestingPreds(LocId L) {
   return SkipPredLists.back();
 }
 
-void SummaryEngine::propagate(KeyId K, LocId M, Ref Q,
-                              const Condition &Cond) {
-  if (Cond.isFalse())
+void SummaryEngine::propagate(KeyId K, LocId M, Ref Q, CondId Cond) {
+  if (Cond == FalseCond)
     return;
   const Location &Loc = Prog.loc(M);
   const Function &Fn = Prog.func(Loc.Owner);
@@ -314,7 +322,7 @@ void SummaryEngine::processTuple(KeyId K, const TraversalTuple &T) {
   Outcomes.clear();
   transfer(T.M, T.Q, T.Cond, Outcomes);
   for (const Outcome &O : Outcomes) {
-    if (O.NewCond.isFalse())
+    if (O.NewCond == FalseCond)
       continue;
     switch (O.Kind) {
     case OutcomeKind::Resolve:
@@ -344,7 +352,7 @@ void SummaryEngine::handleCall(KeyId K, const TraversalTuple &T) {
     // its (current and future) results.
     KeyId Provider = ensureKey(Prog.func(G).Exit, T.Q);
     uint64_t WH = (uint64_t(K) << 32) ^ (uint64_t(T.M) * 0x9e3779b9) ^
-                  T.Cond.hash() ^ Provider;
+                  CondMeta[T.Cond].Hash ^ Provider;
     if (St.Keys[Provider].WaiterHashes.insert(WH)) {
       St.Keys[Provider].Waiters.push_back(Waiter{K, T.M, T.Cond, 0});
       feedWaiter(Provider, St.Keys[Provider].Waiters.size() - 1);
@@ -361,7 +369,7 @@ void SummaryEngine::handleCall(KeyId K, const TraversalTuple &T) {
 //===--------------------------------------------------------------------===//
 
 SummaryEngine::Outcome
-SummaryEngine::writtenValue(const Location &Loc, const Condition &Cond) {
+SummaryEngine::writtenValue(const Location &Loc, CondId Cond) {
   switch (Loc.Kind) {
   case StmtKind::Copy:
   case StmtKind::Store:
@@ -379,7 +387,7 @@ SummaryEngine::writtenValue(const Location &Loc, const Condition &Cond) {
   return Outcome{OutcomeKind::Continue, Ref(), Cond};
 }
 
-void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
+void SummaryEngine::transfer(LocId M, Ref Q, CondId Cond,
                              std::vector<Outcome> &Out) {
   const Location &Loc = Prog.loc(M);
   if (!InSlice[M] || !Loc.isPointerAssign()) {
@@ -408,13 +416,11 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
       }
       Out.push_back(Outcome{
           OutcomeKind::Continue, Ref::direct(Loc.Rhs),
-          Cond.conjoin(atom(M, ConstraintKind::PointsTo, U, V),
-                       Opts.MaxCondAtoms)});
+          conjoin(Cond, atom(M, ConstraintKind::PointsTo, U, V))});
       if (!Definite)
         Out.push_back(Outcome{
             OutcomeKind::Continue, Q,
-            Cond.conjoin(atom(M, ConstraintKind::NotPointsTo, U, V),
-                         Opts.MaxCondAtoms)});
+            conjoin(Cond, atom(M, ConstraintKind::NotPointsTo, U, V))});
       return;
     }
     // Tracking *s.
@@ -433,12 +439,10 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
       return; // *u may or may not be the tracked object: chain dies.
     Out.push_back(Outcome{
         OutcomeKind::Continue, Ref::direct(Loc.Rhs),
-        Cond.conjoin(atom(M, ConstraintKind::SameObject, U, S),
-                     Opts.MaxCondAtoms)});
+        conjoin(Cond, atom(M, ConstraintKind::SameObject, U, S))});
     Out.push_back(Outcome{
         OutcomeKind::Continue, Q,
-        Cond.conjoin(atom(M, ConstraintKind::NotSameObject, U, S),
-                     Opts.MaxCondAtoms)});
+        conjoin(Cond, atom(M, ConstraintKind::NotSameObject, U, S))});
     return;
   }
 
@@ -507,8 +511,7 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
       for (VarId O : Candidates) {
         Out.push_back(Outcome{
             OutcomeKind::Continue, Ref::deref(O),
-            Cond.conjoin(atom(M, ConstraintKind::PointsTo, TVar, O),
-                         Opts.MaxCondAtoms)});
+            conjoin(Cond, atom(M, ConstraintKind::PointsTo, TVar, O))});
       }
       return;
     }
@@ -531,14 +534,12 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
     return;
   }
   Outcome Written = writtenValue(Loc, Cond);
-  Written.NewCond = Cond.conjoin(atom(M, ConstraintKind::PointsTo, S, R),
-                                 Opts.MaxCondAtoms);
+  Written.NewCond = conjoin(Cond, atom(M, ConstraintKind::PointsTo, S, R));
   Out.push_back(Written);
   if (!Definite)
     Out.push_back(Outcome{
         OutcomeKind::Continue, Q,
-        Cond.conjoin(atom(M, ConstraintKind::NotPointsTo, S, R),
-                     Opts.MaxCondAtoms)});
+        conjoin(Cond, atom(M, ConstraintKind::NotPointsTo, S, R))});
 }
 
 //===--------------------------------------------------------------------===//
@@ -581,7 +582,24 @@ const SparseBitVector *SummaryEngine::fsciIfKnown(VarId V,
   return It == St.FsciMemo.end() ? nullptr : &It->second;
 }
 
-bool SummaryEngine::satisfiable(const Condition &Cond) {
+bool SummaryEngine::satisfiable(CondId C) {
+  if (C == TrueCond || C == FalseCond)
+    return C == TrueCond;
+  // FSCI memo entries are only ever added, never changed: an atom that
+  // contradicts a known set keeps doing so, and a condition found
+  // satisfiable can only change its answer once the memo has grown.
+  CondInfo &Info = CondMeta[C];
+  if (Info.SatAt == Unsat)
+    return false;
+  uint64_t Now = St.FsciMemo.size() + 1;
+  if (Info.SatAt == Now)
+    return true;
+  bool Sat = satisfiableNow(St.Conds[C]);
+  Info.SatAt = Sat ? Now : Unsat;
+  return Sat;
+}
+
+bool SummaryEngine::satisfiableNow(const Condition &Cond) const {
   if (Cond.isFalse())
     return false;
   for (const ConstraintAtom &A : Cond.atoms()) {
@@ -617,39 +635,43 @@ bool SummaryEngine::satisfiable(const Condition &Cond) {
 // Public queries
 //===--------------------------------------------------------------------===//
 
-const std::vector<SummaryTuple> &SummaryEngine::resultsAt(LocId AnchorLoc,
-                                                         Ref R) {
+SummaryEngine::KeyId SummaryEngine::resultsAt(LocId AnchorLoc, Ref R) {
   KeyId K = ensureKey(AnchorLoc, R);
   drain();
-  return St.Keys[K].Results;
+  return K;
 }
 
 std::vector<SummaryTuple> SummaryEngine::summaryAt(LocId AnchorLoc,
                                                    Ref R) {
-  return resultsAt(AnchorLoc, R);
-}
-
-std::vector<SummaryTuple> SummaryEngine::originsBefore(LocId Loc, Ref R) {
-  const Location &L = Prog.loc(Loc);
-  const Function &Fn = Prog.func(L.Owner);
+  KeyId K = resultsAt(AnchorLoc, R);
   std::vector<SummaryTuple> Out;
-  if (Loc == Fn.Entry) {
+  Out.reserve(St.Keys[K].Results.size());
+  for (const OriginResult &O : St.Keys[K].Results) {
     SummaryTuple T;
     T.Anchor = R;
-    T.AnchorLoc = Loc;
-    T.Origin = R;
+    T.AnchorLoc = AnchorLoc;
+    T.Origin = O.Origin;
+    T.Cond = St.Conds[O.Cond];
     Out.push_back(std::move(T));
-    return Out;
+  }
+  return Out;
+}
+
+void SummaryEngine::originsBefore(LocId Loc, Ref R,
+                                  std::vector<OriginResult> &Out) {
+  Out.clear();
+  const Location &L = Prog.loc(Loc);
+  if (Loc == Prog.func(L.Owner).Entry) {
+    Out.push_back(OriginResult{R, TrueCond});
+    return;
   }
   FlatHashSet Seen;
   for (LocId P : L.Preds) {
-    for (const SummaryTuple &T : resultsAt(P, R)) {
-      uint64_t H = refHash(T.Origin) * 0x100000001b3ull ^ T.Cond.hash();
-      if (Seen.insert(H))
-        Out.push_back(T);
-    }
+    KeyId K = resultsAt(P, R);
+    for (const OriginResult &O : St.Keys[K].Results)
+      if (Seen.insert(resultHash(O.Origin, CondMeta[O.Cond].Hash)))
+        Out.push_back(O);
   }
-  return Out;
 }
 
 const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
@@ -666,22 +688,24 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
   SparseBitVector Objects;
   FlatHashSet Visited;
   std::deque<std::pair<FuncId, Ref>> Queue;
+  std::vector<OriginResult> Origins;
 
-  auto Handle = [&](FuncId Owner, std::vector<SummaryTuple> Tuples) {
-    for (SummaryTuple &T : Tuples) {
-      if (!satisfiable(T.Cond))
+  auto Handle = [&](FuncId Owner) {
+    for (const OriginResult &O : Origins) {
+      if (!satisfiable(O.Cond))
         continue;
-      if (T.isResolved()) {
-        Objects.set(T.Origin.Var);
+      if (O.isResolved()) {
+        Objects.set(O.Origin.Var);
         continue;
       }
-      uint64_t H = (uint64_t(Owner) << 34) ^ refHash(T.Origin);
+      uint64_t H = (uint64_t(Owner) << 34) ^ refHash(O.Origin);
       if (Visited.insert(H))
-        Queue.emplace_back(Owner, T.Origin);
+        Queue.emplace_back(Owner, O.Origin);
     }
   };
 
-  Handle(Prog.loc(Loc).Owner, originsBefore(Loc, Ref::direct(V)));
+  originsBefore(Loc, Ref::direct(V), Origins);
+  Handle(Prog.loc(Loc).Owner);
 
   // Context-insensitive closure: an unresolved ref at a function's
   // entry takes its value from every call site of every caller
@@ -690,8 +714,10 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
     auto [F, W] = Queue.front();
     Queue.pop_front();
     for (FuncId Caller : CG.callers(F))
-      for (LocId C : CG.callSites(Caller, F))
-        Handle(Caller, originsBefore(C, W));
+      for (LocId C : CG.callSites(Caller, F)) {
+        originsBefore(C, W, Origins);
+        Handle(Caller);
+      }
   }
 
   FsciInProgress[V] = 0;
@@ -739,27 +765,19 @@ void SummaryEngine::accumulateGlobalStats(const EngineStats &S,
 uint64_t SummaryEngine::State::approxBytes() const {
   // A std::map node: the red-black links and color ahead of the value.
   constexpr uint64_t MapNodeHeader = 32;
-  auto CondBytes = [](const Condition &C) {
-    return C.atoms().size() * sizeof(ConstraintAtom);
-  };
   uint64_t N = sizeof(State);
+  // Each condition once, in the table; tuples hold 4-byte ids.
+  for (const Condition &C : Conds)
+    N += sizeof(Condition) + C.size() * sizeof(ConstraintAtom);
   for (const KeyState &KS : Keys) {
     N += sizeof(KeyState);
-    N += KS.Results.size() * sizeof(SummaryTuple);
-    for (const SummaryTuple &T : KS.Results)
-      N += CondBytes(T.Cond);
+    N += KS.Results.size() * sizeof(OriginResult);
     N += KS.ResultHashes.approxBytes();
     N += KS.Seen.approxBytes();
     N += KS.WaiterHashes.approxBytes();
     N += KS.Waiters.size() * sizeof(Waiter);
-    for (const Waiter &W : KS.Waiters)
-      N += CondBytes(W.CondAtCall);
     N += KS.WL.size() * sizeof(TraversalTuple);
-    for (const TraversalTuple &T : KS.WL)
-      N += CondBytes(T.Cond);
   }
-  N += KeyIndex.size() *
-       (MapNodeHeader + sizeof(decltype(KeyIndex)::value_type));
   for (const auto &[K, Bits] : FsciMemo) {
     (void)K;
     N += MapNodeHeader + sizeof(decltype(FsciMemo)::value_type) +
@@ -769,8 +787,8 @@ uint64_t SummaryEngine::State::approxBytes() const {
 }
 
 SummaryEngine::TraversalTuple SummaryEngine::TraversalQueue::take() {
-  TraversalTuple T = std::move(Items[Head++]);
-  // Keep the moved-from prefix no longer than the pending part.
+  TraversalTuple T = Items[Head++];
+  // Keep the taken prefix no longer than the pending part.
   if (Head == Items.size() || (Head >= 64 && Head * 2 >= Items.size()))
     dropTaken();
   return T;
@@ -787,6 +805,7 @@ void SummaryEngine::TraversalQueue::dropTaken() {
 }
 
 SummaryEngine::State SummaryEngine::takeState() {
+  St.Conds.shrink_to_fit();
   St.Keys.shrink_to_fit();
   for (KeyState &KS : St.Keys) {
     KS.Results.shrink_to_fit();
@@ -798,6 +817,8 @@ SummaryEngine::State SummaryEngine::takeState() {
 
 void SummaryEngine::importState(State S) {
   St = std::move(S);
+  indexConditions();
+  indexKeys();
   // Rebuild the transient scheduling scaffolding so the restored engine
   // picks up exactly where the exporting engine stopped: keys with
   // pending worklist tuples reactivate (they only exist when the export
@@ -821,4 +842,73 @@ void SummaryEngine::importState(State S) {
       }
     }
   }
+}
+
+//===--------------------------------------------------------------------===//
+// Hash-consed conditions and the key index
+//===--------------------------------------------------------------------===//
+
+SummaryEngine::CondId SummaryEngine::intern(Condition C) {
+  uint64_t H = C.hash();
+  CondId Found =
+      CondIndex.find(H, [&](CondId Id) { return St.Conds[Id] == C; });
+  if (Found != FlatHashMap::NoValue)
+    return Found;
+  assert(St.Conds.size() < FlatHashMap::NoValue && "condition ids exhausted");
+  CondId Id = static_cast<CondId>(St.Conds.size());
+  St.Conds.push_back(std::move(C));
+  CondMeta.push_back(CondInfo{H, 0});
+  CondIndex.insert(H, Id);
+  return Id;
+}
+
+SummaryEngine::CondId SummaryEngine::conjoin(CondId A, CondId B) {
+  if (A == FalseCond || B == FalseCond)
+    return FalseCond;
+  if (B == TrueCond)
+    return A;
+  uint64_t Key = uint64_t(A) << 32 | B;
+  CondId Memo = ConjMemo.find(Key);
+  if (Memo != FlatHashMap::NoValue)
+    return Memo;
+  CondId Out = intern(St.Conds[A].conjoinAll(St.Conds[B], Opts.MaxCondAtoms));
+  ConjMemo.insert(Key, Out);
+  return Out;
+}
+
+SummaryEngine::CondId SummaryEngine::conjoin(CondId C,
+                                             const ConstraintAtom &Atom) {
+  // C.conjoin(Atom) is C.conjoinAll({Atom}): the same checks against
+  // C's atoms in the same order, then the same capped insert.
+  CondId Single = CondIndex.find(Condition::hashOf(Atom), [&](CondId Id) {
+    return St.Conds[Id].size() == 1 && St.Conds[Id].atoms()[0] == Atom;
+  });
+  if (Single == FlatHashMap::NoValue) {
+    Condition One;
+    Condition::fromCanonicalAtoms({Atom}, /*IsFalse=*/false, One);
+    Single = intern(std::move(One));
+  }
+  return conjoin(C, Single);
+}
+
+void SummaryEngine::indexConditions() {
+  assert(St.Conds.size() >= 2 && St.Conds[TrueCond].isTrue() &&
+         St.Conds[FalseCond].isFalse() && "ids 0 and 1 are true and false");
+  CondIndex.clear();
+  ConjMemo.clear();
+  CondMeta.clear();
+  CondIndex.reserve(St.Conds.size());
+  CondMeta.reserve(St.Conds.size());
+  for (CondId Id = 0; Id < St.Conds.size(); ++Id) {
+    uint64_t H = St.Conds[Id].hash();
+    CondMeta.push_back(CondInfo{H, 0});
+    CondIndex.insert(H, Id);
+  }
+}
+
+void SummaryEngine::indexKeys() {
+  KeyIndex.clear();
+  KeyIndex.reserve(St.Keys.size());
+  for (KeyId K = 0; K < St.Keys.size(); ++K)
+    KeyIndex.insert(keyHash(St.Keys[K].AnchorLoc, St.Keys[K].R), K);
 }

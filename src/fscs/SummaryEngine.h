@@ -47,6 +47,7 @@
 #include "fscs/Constraint.h"
 #include "ir/CallGraph.h"
 #include "ir/Ir.h"
+#include "support/FlatHashMap.h"
 #include "support/FlatHashSet.h"
 #include "support/SparseBitVector.h"
 #include "support/Statistics.h"
@@ -69,7 +70,9 @@ namespace fscs {
 
 /// One summary tuple: the value of Anchor at AnchorLoc may come from
 /// Origin under Cond. Origin is either resolved (an address: Deref ==
-/// -1) or a ref live at the owning function's entry.
+/// -1) or a ref live at the owning function's entry. The engine keeps
+/// tuples in a compact form (SummaryEngine::OriginResult) and builds
+/// this one only for its public summaryAt.
 struct SummaryTuple {
   ir::Ref Anchor;
   ir::LocId AnchorLoc = ir::InvalidLoc;
@@ -137,16 +140,36 @@ public:
   /// Origins of \p R's value immediately *after* executing \p AnchorLoc.
   std::vector<SummaryTuple> summaryAt(ir::LocId AnchorLoc, ir::Ref R);
 
-  /// Origins of \p R's value immediately *before* \p Loc executes.
-  std::vector<SummaryTuple> originsBefore(ir::LocId Loc, ir::Ref R);
-
   /// FSCI points-to objects of \p V just before \p Loc: every object o
   /// with a (spliced, any-context) update sequence from &o to V.
   const SparseBitVector &fsciPointsTo(ir::VarId V, ir::LocId Loc);
 
-  /// Best-effort satisfiability of \p Cond against memoized FSCI
-  /// information; unknown atoms count as satisfiable.
-  bool satisfiable(const Condition &Cond);
+  //===--------------------------------------------------------------===//
+  // Hash-consed conditions (DESIGN.md §5f)
+  //===--------------------------------------------------------------===//
+
+  /// Index of a condition in State::Conds. Each distinct condition has
+  /// one id, so equal ids mean equal conditions.
+  using CondId = uint32_t;
+  static constexpr CondId TrueCond = 0;
+  static constexpr CondId FalseCond = 1;
+
+  /// A summary tuple as the engine stores it: the anchor is its key's.
+  struct OriginResult {
+    ir::Ref Origin;
+    CondId Cond = TrueCond;
+
+    bool isResolved() const { return Origin.Deref < 0; }
+  };
+
+  /// Fills \p Out with the distinct origins of \p R's value
+  /// immediately *before* \p Loc executes.
+  void originsBefore(ir::LocId Loc, ir::Ref R,
+                     std::vector<OriginResult> &Out);
+
+  /// Best-effort satisfiability of condition \p C against memoized FSCI
+  /// information; unknown atoms count as satisfiable. Memoized per id.
+  bool satisfiable(CondId C);
 
   /// True if any traversal hit the step budget (results are partial).
   bool budgetExhausted() const { return St.BudgetHit; }
@@ -203,9 +226,9 @@ public:
   using KeyId = uint32_t;
 
   struct TraversalTuple {
-    ir::LocId M;
+    ir::LocId M = ir::InvalidLoc;
     ir::Ref Q;
-    Condition Cond;
+    CondId Cond = TrueCond;
   };
 
   /// A key's FIFO worklist: a vector plus a head cursor. Unlike
@@ -217,7 +240,7 @@ public:
   public:
     bool empty() const { return Head == Items.size(); }
     size_t size() const { return Items.size() - Head; }
-    void push_back(TraversalTuple T) { Items.push_back(std::move(T)); }
+    void push_back(TraversalTuple T) { Items.push_back(T); }
     /// Removes and returns the oldest pending tuple.
     TraversalTuple take();
     std::vector<TraversalTuple>::const_iterator begin() const {
@@ -233,21 +256,21 @@ public:
     void dropTaken();
 
     std::vector<TraversalTuple> Items;
-    size_t Head = 0; ///< Items before Head were taken (moved-from).
+    size_t Head = 0; ///< Items before Head were taken.
   };
 
   /// A splice waiting on a provider key's future results.
   struct Waiter {
-    KeyId Dependent;
-    ir::LocId CallLoc;
-    Condition CondAtCall;
+    KeyId Dependent = 0;
+    ir::LocId CallLoc = ir::InvalidLoc;
+    CondId CondAtCall = TrueCond;
     size_t Consumed = 0;
   };
 
   struct KeyState {
-    ir::LocId AnchorLoc;
+    ir::LocId AnchorLoc = ir::InvalidLoc;
     ir::Ref R;
-    std::vector<SummaryTuple> Results;
+    std::vector<OriginResult> Results; ///< Anchored at (AnchorLoc, R).
     FlatHashSet ResultHashes;
     TraversalQueue WL;
     FlatHashSet Seen;            ///< Tuples ever enqueued.
@@ -263,8 +286,10 @@ public:
   /// identity by keying entries on a content digest of exactly those
   /// inputs.
   struct State {
+    /// The condition table: every condition a tuple, waiter or result
+    /// refers to, each once. Ids 0 and 1 are true and false.
+    std::vector<Condition> Conds{Condition(), Condition::falseCondition()};
     std::vector<KeyState> Keys;
-    std::map<std::pair<ir::LocId, uint64_t>, KeyId> KeyIndex;
     std::map<std::pair<ir::VarId, ir::LocId>, SparseBitVector> FsciMemo;
     uint64_t Steps = 0;
     bool BudgetHit = false;
@@ -279,8 +304,8 @@ public:
   State exportState() const { return St; }
 
   /// Moves the memoized product out -- the publish path into the
-  /// SummaryCache. Keys and each key's Results, Waiters and WL are
-  /// compacted first, so the moved state holds no more memory than an
+  /// SummaryCache. Conds, Keys and each key's Results, Waiters and WL
+  /// are compacted first, so the moved state holds no more memory than an
   /// exportState() copy would. Leaves the engine empty: read stats()
   /// before, and only destroy the engine after.
   State takeState();
@@ -294,15 +319,25 @@ public:
 private:
   KeyId ensureKey(ir::LocId Loc, ir::Ref R);
   void enqueue(KeyId K, TraversalTuple T);
-  void addResult(KeyId K, ir::Ref Origin, const Condition &Cond);
+  void addResult(KeyId K, ir::Ref Origin, CondId Cond);
   void feedWaiter(KeyId Provider, size_t WaiterIdx);
   void drain();
   void processTuple(KeyId K, const TraversalTuple &T);
   void handleCall(KeyId K, const TraversalTuple &T);
-  /// summaryAt without the copy: valid until the engine next runs.
-  const std::vector<SummaryTuple> &resultsAt(ir::LocId AnchorLoc,
-                                             ir::Ref R);
-  void propagate(KeyId K, ir::LocId M, ir::Ref Q, const Condition &Cond);
+  /// The key answering (AnchorLoc, R), run to its current fixpoint.
+  KeyId resultsAt(ir::LocId AnchorLoc, ir::Ref R);
+  void propagate(KeyId K, ir::LocId M, ir::Ref Q, CondId Cond);
+
+  /// The id of \p C, added to the table if new.
+  CondId intern(Condition C);
+  /// \p A ∧ \p B as Condition::conjoinAll computes it; memoized.
+  CondId conjoin(CondId A, CondId B);
+  /// \p C ∧ \p Atom as Condition::conjoin computes it.
+  CondId conjoin(CondId C, const ConstraintAtom &Atom);
+  /// Rebuilds the transient condition indexes from St.Conds.
+  void indexConditions();
+  /// Rebuilds the key index from St.Keys.
+  void indexKeys();
 
   //===--------------------------------------------------------------===//
   // Transfer function (Algorithm 4)
@@ -312,15 +347,15 @@ private:
   struct Outcome {
     OutcomeKind Kind;
     ir::Ref NewQ;
-    Condition NewCond;
+    CondId NewCond;
   };
 
-  void transfer(ir::LocId M, ir::Ref Q, const Condition &Cond,
+  void transfer(ir::LocId M, ir::Ref Q, CondId Cond,
                 std::vector<Outcome> &Out);
   /// The value the statement at \p M writes, as a continue/resolve/kill
   /// outcome skeleton (used when the written object may be the tracked
   /// one).
-  Outcome writtenValue(const ir::Location &Loc, const Condition &Cond);
+  Outcome writtenValue(const ir::Location &Loc, CondId Cond);
 
   /// May pointer \p U point to variable \p V just before \p M?
   /// \p Definite is set when the FSCI set is the singleton {V}.
@@ -335,6 +370,8 @@ private:
   /// Memoized FSCI set if already computed; nullptr while unknown or
   /// under computation (the constraint-branching fallback applies then).
   const SparseBitVector *fsciIfKnown(ir::VarId V, ir::LocId Loc) const;
+  /// satisfiable() without the memo.
+  bool satisfiableNow(const Condition &Cond) const;
 
   //===--------------------------------------------------------------===//
   // Per-function modification info (for call splicing)
@@ -375,6 +412,23 @@ private:
   /// The memoized product (see State above). Everything below it is
   /// transient or derived.
   State St;
+
+  /// Transient indexes over St (rebuilt by the constructor and by
+  /// importState, never cached; DESIGN.md §5f). KeyIndex maps a hash of
+  /// (AnchorLoc, R) to candidate KeyIds; CondIndex a condition's
+  /// content hash to candidate CondIds; ConjMemo (A << 32 | B) to A ∧ B.
+  FlatHashMap KeyIndex;
+  FlatHashMap CondIndex;
+  FlatHashMap ConjMemo;
+  /// Per CondId: its content hash (the tuple dedup hashes are built
+  /// from it) and its satisfiability memo: 0 = not checked, Unsat, or
+  /// 1 + the FSCI memo size at which it was last found satisfiable.
+  struct CondInfo {
+    uint64_t Hash = 0;
+    uint64_t SatAt = 0;
+  };
+  static constexpr uint64_t Unsat = ~uint64_t(0);
+  std::vector<CondInfo> CondMeta;
 
   std::deque<KeyId> ActiveKeys;
   std::vector<uint8_t> KeyActive;

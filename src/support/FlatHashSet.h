@@ -29,6 +29,33 @@
 
 namespace bsaa {
 
+/// Sizing and probing shared by the flat hash containers.
+namespace flat {
+
+constexpr size_t MinSlots = 4;
+
+/// Smallest power-of-two slot count holding \p N keys at a load of at
+/// most 3/4 (0 for none).
+inline size_t slotsFor(size_t N) {
+  if (N == 0)
+    return 0;
+  size_t S = MinSlots;
+  while (N * 4 > S * 3)
+    S *= 2;
+  return S;
+}
+
+/// The key's first probe slot. The keys are hashes already, but not
+/// necessarily mixed in their low bits, so mix before masking.
+inline size_t home(uint64_t K, size_t Mask) {
+  K ^= K >> 33;
+  K *= 0xff51afd7ed558ccdull;
+  K ^= K >> 33;
+  return static_cast<size_t>(K) & Mask;
+}
+
+} // namespace flat
+
 class FlatHashSet {
 public:
   /// Forward iteration over the members, in slot order (unspecified but
@@ -85,10 +112,10 @@ public:
       HasZero = true;
       return New;
     }
-    if (slotsFor(Used + 1) > Slots.size())
-      rehash(slotsFor(Used + 1));
+    if (flat::slotsFor(Used + 1) > Slots.size())
+      rehash(flat::slotsFor(Used + 1));
     size_t Mask = Slots.size() - 1;
-    for (size_t I = home(K, Mask);; I = (I + 1) & Mask) {
+    for (size_t I = flat::home(K, Mask);; I = (I + 1) & Mask) {
       if (Slots[I] == K)
         return false;
       if (Slots[I] == 0) {
@@ -105,7 +132,7 @@ public:
     if (Slots.empty())
       return false;
     size_t Mask = Slots.size() - 1;
-    for (size_t I = home(K, Mask);; I = (I + 1) & Mask) {
+    for (size_t I = flat::home(K, Mask);; I = (I + 1) & Mask) {
       if (Slots[I] == K)
         return true;
       if (Slots[I] == 0)
@@ -118,8 +145,8 @@ public:
 
   /// Sizes the slots for \p N keys, so inserting them does not rehash.
   void reserve(size_t N) {
-    if (slotsFor(N) > Slots.size())
-      rehash(slotsFor(N));
+    if (flat::slotsFor(N) > Slots.size())
+      rehash(flat::slotsFor(N));
   }
 
   /// Bytes the slots occupy: what the set actually holds in memory
@@ -130,28 +157,6 @@ public:
   const_iterator end() const { return const_iterator(this, Slots.size() + 1); }
 
 private:
-  static constexpr size_t MinSlots = 4;
-
-  /// Smallest power-of-two slot count holding \p N keys at a load of at
-  /// most 3/4 (0 for none).
-  static size_t slotsFor(size_t N) {
-    if (N == 0)
-      return 0;
-    size_t S = MinSlots;
-    while (N * 4 > S * 3)
-      S *= 2;
-    return S;
-  }
-
-  /// The key's first probe slot. The keys are hashes already, but not
-  /// necessarily mixed in their low bits, so mix before masking.
-  static size_t home(uint64_t K, size_t Mask) {
-    K ^= K >> 33;
-    K *= 0xff51afd7ed558ccdull;
-    K ^= K >> 33;
-    return static_cast<size_t>(K) & Mask;
-  }
-
   void rehash(size_t NewSlots) {
     std::vector<uint64_t> Old =
         std::exchange(Slots, std::vector<uint64_t>(NewSlots, 0));
@@ -159,7 +164,7 @@ private:
     for (uint64_t K : Old) {
       if (K == 0)
         continue;
-      size_t I = home(K, Mask);
+      size_t I = flat::home(K, Mask);
       while (Slots[I] != 0)
         I = (I + 1) & Mask;
       Slots[I] = K;

@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -431,8 +432,20 @@ ir::Ref randomRef(std::mt19937_64 &Rng) {
                  static_cast<int8_t>(int(Rng() % 4) - 1)};
 }
 
-/// A randomized but invariant-respecting CachedClusterRun: canonical
-/// conditions, in-range waiter KeyIds, naturally sorted maps.
+/// The id of a random canonical condition in \p St's table, added to
+/// the table if new (the table holds each condition once).
+fscs::SummaryEngine::CondId randomCondId(std::mt19937_64 &Rng,
+                                         fscs::SummaryEngine::State &St) {
+  fscs::Condition C = randomCondition(Rng);
+  auto It = std::find(St.Conds.begin(), St.Conds.end(), C);
+  if (It == St.Conds.end())
+    It = St.Conds.insert(St.Conds.end(), std::move(C));
+  return static_cast<fscs::SummaryEngine::CondId>(It - St.Conds.begin());
+}
+
+/// A randomized but invariant-respecting CachedClusterRun: a table of
+/// unique canonical conditions, in-range condition ids and waiter
+/// KeyIds, unique keys, naturally sorted maps.
 fscs::CachedClusterRun randomRun(uint64_t Seed) {
   std::mt19937_64 Rng(Seed);
   fscs::CachedClusterRun Run;
@@ -440,17 +453,22 @@ fscs::CachedClusterRun randomRun(uint64_t Seed) {
 
   size_t NumKeys = 1 + Rng() % 5;
   St.Keys.resize(NumKeys);
-  for (auto &K : St.Keys) {
-    K.AnchorLoc = static_cast<ir::LocId>(Rng() % 200);
-    K.R = randomRef(Rng);
+  for (size_t KI = 0; KI < NumKeys; ++KI) {
+    auto &K = St.Keys[KI];
+    bool Unique;
+    do {
+      K.AnchorLoc = static_cast<ir::LocId>(Rng() % 200);
+      K.R = randomRef(Rng);
+      Unique = true;
+      for (size_t J = 0; J < KI; ++J)
+        Unique &= St.Keys[J].AnchorLoc != K.AnchorLoc || St.Keys[J].R != K.R;
+    } while (!Unique);
     size_t NR = Rng() % 4;
     for (size_t I = 0; I < NR; ++I) {
-      fscs::SummaryTuple T;
-      T.Anchor = randomRef(Rng);
-      T.AnchorLoc = static_cast<ir::LocId>(Rng() % 200);
+      fscs::SummaryEngine::OriginResult T;
       T.Origin = randomRef(Rng);
-      T.Cond = randomCondition(Rng);
-      K.Results.push_back(std::move(T));
+      T.Cond = randomCondId(Rng, St);
+      K.Results.push_back(T);
     }
     for (size_t I = 0, N = Rng() % 6; I < N; ++I)
       K.ResultHashes.insert(Rng());
@@ -458,8 +476,8 @@ fscs::CachedClusterRun randomRun(uint64_t Seed) {
       fscs::SummaryEngine::TraversalTuple T;
       T.M = static_cast<ir::LocId>(Rng() % 200);
       T.Q = randomRef(Rng);
-      T.Cond = randomCondition(Rng);
-      K.WL.push_back(std::move(T));
+      T.Cond = randomCondId(Rng, St);
+      K.WL.push_back(T);
     }
     for (size_t I = 0, N = Rng() % 8; I < N; ++I)
       K.Seen.insert(Rng());
@@ -467,16 +485,13 @@ fscs::CachedClusterRun randomRun(uint64_t Seed) {
       fscs::SummaryEngine::Waiter Wt;
       Wt.Dependent = static_cast<fscs::SummaryEngine::KeyId>(Rng() % NumKeys);
       Wt.CallLoc = static_cast<ir::LocId>(Rng() % 200);
-      Wt.CondAtCall = randomCondition(Rng);
+      Wt.CondAtCall = randomCondId(Rng, St);
       Wt.Consumed = Rng() % 10;
-      K.Waiters.push_back(std::move(Wt));
+      K.Waiters.push_back(Wt);
     }
     for (size_t I = 0, N = Rng() % 4; I < N; ++I)
       K.WaiterHashes.insert(Rng());
   }
-  for (size_t I = 0, N = Rng() % 6; I < N; ++I)
-    St.KeyIndex[{static_cast<ir::LocId>(Rng() % 500), Rng()}] =
-        static_cast<fscs::SummaryEngine::KeyId>(Rng() % NumKeys);
   for (size_t I = 0, N = Rng() % 5; I < N; ++I) {
     SparseBitVector B;
     for (size_t J = 0, M = Rng() % 40; J < M; ++J)
@@ -554,6 +569,245 @@ TEST(StateCodec, InvalidStructuresRejected) {
     EXPECT_FALSE(
         fscs::decodeCachedClusterRun(W.bytes().data(), W.bytes().size(), Back));
   }
+}
+
+namespace {
+
+bool decodes(const fscs::CachedClusterRun &Run) {
+  ByteWriter W;
+  fscs::encodeCachedClusterRun(Run, W);
+  fscs::CachedClusterRun Back;
+  return fscs::decodeCachedClusterRun(W.bytes().data(), W.bytes().size(),
+                                      Back);
+}
+
+fscs::Condition conditionOf(std::vector<fscs::ConstraintAtom> Atoms,
+                            bool IsFalse = false) {
+  fscs::Condition C;
+  EXPECT_TRUE(
+      fscs::Condition::fromCanonicalAtoms(std::move(Atoms), IsFalse, C));
+  return C;
+}
+
+fscs::ConstraintAtom atomAt(ir::LocId Loc, ir::VarId A, ir::VarId B) {
+  return fscs::ConstraintAtom{Loc, fscs::ConstraintKind::PointsTo, A, B};
+}
+
+} // namespace
+
+TEST(StateCodec, InvalidConditionTablesRejected) {
+  fscs::CachedClusterRun Run = randomRun(7);
+  ASSERT_TRUE(decodes(Run));
+  size_t NumConds = Run.Engine.Conds.size();
+  auto Tuple = [](fscs::SummaryEngine::CondId C) {
+    fscs::SummaryEngine::TraversalTuple T;
+    T.M = 3;
+    T.Q = ir::Ref::direct(4);
+    T.Cond = C;
+    return T;
+  };
+  {
+    // The last id in the table is fine ...
+    fscs::CachedClusterRun Ok = Run;
+    Ok.Engine.Keys[0].WL.push_back(
+        Tuple(static_cast<fscs::SummaryEngine::CondId>(NumConds - 1)));
+    EXPECT_TRUE(decodes(Ok));
+  }
+  for (int Where = 0; Where < 3; ++Where) {
+    // ... one past it is not, in a result, a worklist tuple or a waiter.
+    SCOPED_TRACE(Where);
+    fscs::CachedClusterRun Bad = Run;
+    auto Past = static_cast<fscs::SummaryEngine::CondId>(NumConds);
+    fscs::SummaryEngine::KeyState &K = Bad.Engine.Keys[0];
+    if (Where == 0)
+      K.Results.push_back({ir::Ref::addrOf(5), Past});
+    else if (Where == 1)
+      K.WL.push_back(Tuple(Past));
+    else
+      K.Waiters.push_back({0, 3, Past, 0});
+    EXPECT_FALSE(decodes(Bad));
+  }
+  {
+    // Ids 0 and 1 must be true and false, in that order.
+    fscs::CachedClusterRun Bad = Run;
+    std::swap(Bad.Engine.Conds[0], Bad.Engine.Conds[1]);
+    EXPECT_FALSE(decodes(Bad));
+  }
+  {
+    fscs::CachedClusterRun Bad = Run;
+    Bad.Engine.Conds[0] = conditionOf({atomAt(1, 2, 3)});
+    EXPECT_FALSE(decodes(Bad));
+  }
+  {
+    fscs::CachedClusterRun Bad = Run;
+    Bad.Engine.Conds[1] = conditionOf({atomAt(1, 2, 3)});
+    EXPECT_FALSE(decodes(Bad));
+  }
+  {
+    // A table shorter than true and false.
+    fscs::CachedClusterRun Bad = Run;
+    Bad.Engine = fscs::SummaryEngine::State();
+    Bad.Engine.Conds.pop_back();
+    EXPECT_FALSE(decodes(Bad));
+  }
+  {
+    // Each condition once: interning finds a condition by its content.
+    for (const fscs::Condition &Dup :
+         {fscs::Condition(), fscs::Condition::falseCondition(),
+          conditionOf({atomAt(1, 2, 3)})}) {
+      fscs::CachedClusterRun Bad = Run;
+      Bad.Engine.Conds.push_back(conditionOf({atomAt(1, 2, 3)}));
+      Bad.Engine.Conds.push_back(Dup);
+      EXPECT_FALSE(decodes(Bad));
+      Bad.Engine.Conds.pop_back();
+      EXPECT_TRUE(decodes(Bad)) << "the table without the duplicate";
+    }
+  }
+  {
+    // Non-canonical atoms: a table entry's two atoms out of order, and
+    // a false entry with an atom. The encoder cannot produce either, so
+    // patch the bytes. Layout 2 opens with the table: u32 count, then
+    // per entry u8 false-flag, u32 atom count, 13 bytes per atom.
+    fscs::SummaryEngine::State St;
+    St.Conds.push_back(conditionOf({atomAt(1, 2, 3), atomAt(4, 5, 6)}));
+    fscs::CachedClusterRun Sorted;
+    Sorted.Engine = St;
+    ASSERT_TRUE(decodes(Sorted));
+    ByteWriter W;
+    fscs::encodeCachedClusterRun(Sorted, W);
+    std::vector<uint8_t> Swapped = W.bytes();
+    constexpr size_t Entry2 = 4 + 5 + 5, Atom0 = Entry2 + 5, AtomSize = 13;
+    ASSERT_EQ(Swapped[Atom0], 1u) << "first atom's location";
+    std::swap_ranges(Swapped.begin() + Atom0,
+                     Swapped.begin() + Atom0 + AtomSize,
+                     Swapped.begin() + Atom0 + AtomSize);
+    fscs::CachedClusterRun Back;
+    EXPECT_FALSE(
+        fscs::decodeCachedClusterRun(Swapped.data(), Swapped.size(), Back));
+
+    std::vector<uint8_t> FalseWithAtoms = W.bytes();
+    FalseWithAtoms[Entry2] = 1;
+    EXPECT_FALSE(fscs::decodeCachedClusterRun(FalseWithAtoms.data(),
+                                              FalseWithAtoms.size(), Back));
+  }
+  {
+    // Two keys with one (AnchorLoc, R): the rebuilt key index could
+    // find only one of them.
+    fscs::CachedClusterRun Bad = Run;
+    Bad.Engine.Keys.push_back(Bad.Engine.Keys[0]);
+    EXPECT_FALSE(decodes(Bad));
+  }
+}
+
+TEST(StateCodec, GoldenBytesLayout2) {
+  // A small fixed run, byte for byte. A layout change must bump
+  // SummaryCodecVersion and re-record this.
+  fscs::CachedClusterRun Run;
+  fscs::SummaryEngine::State &St = Run.Engine;
+  St.Conds.push_back(conditionOf({atomAt(3, 1, 2)}));
+  fscs::SummaryEngine::KeyState K;
+  K.AnchorLoc = 5;
+  K.R = ir::Ref::direct(7);
+  K.Results.push_back({ir::Ref::addrOf(2), 2});
+  K.ResultHashes.insert(0x11);
+  K.WL.push_back({4, ir::Ref::deref(7), fscs::SummaryEngine::TrueCond});
+  K.Seen.insert(0x22);
+  K.Waiters.push_back({0, 6, 2, 1});
+  St.Keys.push_back(std::move(K));
+  SparseBitVector Pts;
+  Pts.set(2);
+  St.FsciMemo[{7, 5}] = Pts;
+  St.Steps = 9;
+  St.Approximated = true;
+  Run.Dove.DepthLevels = 2;
+  Run.Dove.FsciQueries = 3;
+  Run.Dove.Complete = true;
+  Run.Stats.Steps = 9;
+  Run.Stats.SummaryTuples = 1;
+  Run.Stats.Keys = 1;
+  Run.Stats.Approximated = true;
+
+  const std::vector<uint8_t> Golden = {
+      3, 0, 0, 0,                 // conditions
+      0, 0, 0, 0, 0,              //   0: true
+      1, 0, 0, 0, 0,              //   1: false
+      0, 1, 0, 0, 0,              //   2: one atom
+      3, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, //  L3: v1 -> v2
+      1, 0, 0, 0,                 // keys
+      5, 0, 0, 0, 7, 0, 0, 0, 0,  //   anchor L5, ref v7
+      1, 0, 0, 0,                 //   results
+      2, 0, 0, 0, 0xff, 2, 0, 0, 0, //   &v2 under condition 2
+      1, 0, 0, 0, 0x11, 0, 0, 0, 0, 0, 0, 0, //   result hashes
+      1, 0, 0, 0,                 //   worklist
+      4, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 0, //   L4, *v7, true
+      1, 0, 0, 0, 0x22, 0, 0, 0, 0, 0, 0, 0, //   seen
+      1, 0, 0, 0,                 //   waiters
+      0, 0, 0, 0, 6, 0, 0, 0, 2, 0, 0, 0,    //   key 0, call L6, cond 2
+      1, 0, 0, 0, 0, 0, 0, 0,     //   consumed
+      0, 0, 0, 0,                 //   waiter hashes
+      1, 0, 0, 0,                 // FSCI memo
+      7, 0, 0, 0, 5, 0, 0, 0,     //   v7 at L5
+      1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, //   {v2}
+      9, 0, 0, 0, 0, 0, 0, 0, 0, 1, // steps, budget hit, approximated
+      2, 0, 0, 0, 3, 0, 0, 0, 1,  // dovetail
+      9, 0, 0, 0, 0, 0, 0, 0,     // stats: steps
+      1, 0, 0, 0, 0, 0, 0, 0,     //   tuples
+      1, 0, 0, 0, 0, 0, 0, 0, 0, 1, //   keys, budget hit, approximated
+  };
+  ByteWriter W;
+  fscs::encodeCachedClusterRun(Run, W);
+  EXPECT_EQ(W.bytes(), Golden);
+  fscs::CachedClusterRun Back;
+  ASSERT_TRUE(
+      fscs::decodeCachedClusterRun(Golden.data(), Golden.size(), Back));
+  ByteWriter W2;
+  fscs::encodeCachedClusterRun(Back, W2);
+  EXPECT_EQ(W2.bytes(), Golden);
+}
+
+TEST(StateCodec, Version1PayloadIsCleanMiss) {
+  // Layout 1 of a fallback record (no conditions table; keys, key
+  // index and memo all empty) no longer decodes: it opens with a table
+  // of zero conditions.
+  ByteWriter V1;
+  V1.u32(0);  // keys
+  V1.u32(0);  // key index
+  V1.u32(0);  // FSCI memo
+  V1.u64(31); // steps
+  V1.u8(1);   // budget hit
+  V1.u8(0);   // approximated
+  V1.u32(1);  // dovetail
+  V1.u32(2);
+  V1.u8(0);
+  V1.u64(31); // stats
+  V1.u64(0);
+  V1.u64(0);
+  V1.u8(1);
+  V1.u8(0);
+  fscs::CachedClusterRun Back;
+  EXPECT_FALSE(fscs::decodeCachedClusterRun(V1.bytes().data(),
+                                            V1.bytes().size(), Back));
+
+  // And a store record tagged version 1 is a miss, whatever it holds,
+  // while the same run under the current version revives.
+  TempDir Dir;
+  auto Store = CacheStore::open(Dir.Path);
+  fscs::CachedClusterRun Run = randomRun(3);
+  ByteWriter W;
+  fscs::encodeCachedClusterRun(Run, W);
+  ASSERT_EQ(fscs::SummaryCodecVersion, 2u);
+  ASSERT_TRUE(Store->put(key(41, 1), fscs::StoreFamilySummary, 1, V1.bytes()));
+  ASSERT_TRUE(Store->put(key(41, 2), fscs::StoreFamilySummary, 1, W.bytes()));
+  ASSERT_TRUE(Store->put(key(41, 3), fscs::StoreFamilySummary,
+                         fscs::SummaryCodecVersion, W.bytes()));
+  fscs::SummaryCache Cache;
+  Cache.attachStore(Store);
+  EXPECT_EQ(Cache.lookup(key(41, 1)), nullptr);
+  EXPECT_EQ(Cache.lookup(key(41, 2)), nullptr);
+  EXPECT_NE(Cache.lookup(key(41, 3)), nullptr);
+  auto C = Cache.counters();
+  EXPECT_EQ(C.StoreMisses, 2u);
+  EXPECT_EQ(C.StoreHits, 1u);
 }
 
 TEST(StoreCodecs, SliceRoundTrip) {

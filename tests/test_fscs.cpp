@@ -697,7 +697,7 @@ TEST(Fscs, FallbackRunsCacheOnlyTheirVerdict) {
           continue;
         }
         EXPECT_TRUE(St.Keys.empty()) << "cluster " << CI;
-        EXPECT_TRUE(St.KeyIndex.empty()) << "cluster " << CI;
+        EXPECT_EQ(St.Conds.size(), 2u) << "cluster " << CI;
         EXPECT_TRUE(St.FsciMemo.empty()) << "cluster " << CI;
         EXPECT_EQ(St.Steps, C.Steps);
         EXPECT_EQ(St.BudgetHit, C.BudgetHit);

@@ -255,6 +255,18 @@ TEST(Condition, HashAndEquality) {
   EXPECT_FALSE(C1 == fscs::Condition());
 }
 
+TEST(Condition, HashOfAtomIsTheOneAtomConditionsHash) {
+  // The FSCS engine finds an interned one-atom condition by this hash.
+  for (fscs::ConstraintKind K :
+       {fscs::ConstraintKind::PointsTo, fscs::ConstraintKind::NotPointsTo,
+        fscs::ConstraintKind::SameObject,
+        fscs::ConstraintKind::NotSameObject}) {
+    fscs::ConstraintAtom A{7, K, 0, 3};
+    EXPECT_EQ(fscs::Condition::hashOf(A),
+              fscs::Condition().conjoin(A, 8).hash());
+  }
+}
+
 TEST(Condition, ToStringRendersKinds) {
   auto P = compileOk("int *g; int *h; void main(void) { g = h; }");
   ir::VarId G = P->findVariable("g");

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/ContentHash.h"
+#include "support/FlatHashMap.h"
 #include "support/FlatHashSet.h"
 #include "support/GraphWriter.h"
 #include "support/LatencyHistogram.h"
@@ -24,6 +25,7 @@
 #include <random>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -344,6 +346,94 @@ TEST(FlatHashSet, EmptySetAndZeroOnly) {
   EXPECT_EQ(S.approxBytes(), 0u) << "0 needs no slot";
   std::vector<uint64_t> Members(S.begin(), S.end());
   EXPECT_EQ(Members, std::vector<uint64_t>{0});
+}
+
+TEST(FlatHashMap, RandomizedAgainstUnorderedMultimap) {
+  for (uint32_t Seed = 1; Seed <= 8; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::mt19937_64 Rng(Seed);
+    FlatHashMap M;
+    std::unordered_multimap<uint64_t, uint32_t> Model;
+    size_t SlotChanges = 0;
+    uint64_t LastBytes = 0;
+    auto Draw = [&]() -> uint64_t {
+      switch (Rng() % 5) {
+      case 0:
+        return 0; // A key like any other here.
+      case 1:
+        return Rng() % 16; // Small range: many entries per key.
+      case 2:
+        return (Rng() % 64) << 40; // Equal low bits.
+      default:
+        return Rng();
+      }
+    };
+    auto ValuesOf = [](const FlatHashMap &Map, uint64_t K) {
+      std::vector<uint32_t> Got;
+      EXPECT_EQ(Map.find(K,
+                         [&](uint32_t V) {
+                           Got.push_back(V);
+                           return false;
+                         }),
+                FlatHashMap::NoValue);
+      std::sort(Got.begin(), Got.end());
+      return Got;
+    };
+    auto ModelValuesOf = [&](uint64_t K) {
+      std::vector<uint32_t> Want;
+      auto [Lo, Hi] = Model.equal_range(K);
+      for (auto It = Lo; It != Hi; ++It)
+        Want.push_back(It->second);
+      std::sort(Want.begin(), Want.end());
+      return Want;
+    };
+    for (uint32_t Step = 0; Step < 6000; ++Step) {
+      uint64_t K = Draw();
+      M.insert(K, Step);
+      Model.emplace(K, Step);
+      ASSERT_EQ(M.size(), Model.size());
+      uint64_t Probe = Draw();
+      std::vector<uint32_t> Want = ModelValuesOf(Probe);
+      ASSERT_EQ(ValuesOf(M, Probe), Want) << "probe " << Probe;
+      uint32_t Any = M.find(Probe);
+      if (Want.empty()) {
+        ASSERT_EQ(Any, FlatHashMap::NoValue);
+      } else {
+        ASSERT_TRUE(std::binary_search(Want.begin(), Want.end(), Any));
+        // A predicate picks out one entry among those under the key.
+        uint32_t Pick = Want[Rng() % Want.size()];
+        ASSERT_EQ(M.find(Probe, [&](uint32_t V) { return V == Pick; }), Pick);
+      }
+      if (M.approxBytes() != LastBytes) {
+        ++SlotChanges;
+        LastBytes = M.approxBytes();
+      }
+    }
+    EXPECT_GE(SlotChanges, 5u) << "the map must have rehashed repeatedly";
+    EXPECT_GT(Model.count(0), 1u);
+    for (uint64_t K = 0; K < 16; ++K)
+      EXPECT_EQ(ValuesOf(M, K), ModelValuesOf(K)) << "key " << K;
+
+    // A map reserved up front holds the same entries in the same number
+    // of slots without growing; a copy answers alike.
+    FlatHashMap Reserved;
+    Reserved.reserve(Model.size());
+    uint64_t ReservedBytes = Reserved.approxBytes();
+    for (const auto &[K, V] : Model)
+      Reserved.insert(K, V);
+    EXPECT_EQ(Reserved.approxBytes(), ReservedBytes);
+    EXPECT_EQ(Reserved.approxBytes(), M.approxBytes());
+    FlatHashMap Copy = M;
+    for (const auto &[K, V] : Model) {
+      (void)V;
+      ASSERT_EQ(ValuesOf(Reserved, K), ValuesOf(M, K));
+      ASSERT_EQ(ValuesOf(Copy, K), ValuesOf(M, K));
+    }
+    M.clear();
+    EXPECT_TRUE(M.empty());
+    EXPECT_EQ(M.find(0), FlatHashMap::NoValue);
+    EXPECT_EQ(M.approxBytes(), 0u);
+  }
 }
 
 //===--------------------------------------------------------------------===//
