@@ -20,7 +20,10 @@
 // Usage: ablation_incremental [scale] [--edits N] [--stats-json]
 //
 // --stats-json dumps the final incremental BootstrapResult (including
-// cumulative cache counters) as a JSON document on stdout.
+// cumulative cache counters) as a JSON document on stdout, then one
+// final JSON line with the stream's speed ratios (touch_speedup: the
+// no-op edit, full over incremental; aggregate_speedup: the whole
+// stream) and mismatch count, which CI gates on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -128,7 +131,7 @@ int main(int Argc, char **Argv) {
 
   const core::StatsJsonOptions Strip{/*IncludeTimings=*/false,
                                      /*IncludeCacheStats=*/false};
-  double FullTotal = 0, IncrTotal = 0;
+  double FullTotal = 0, IncrTotal = 0, TouchSpeedup = 0;
   uint32_t Mismatches = 0, Adoptions = 0;
   core::BootstrapResult LastIncr;
 
@@ -167,6 +170,8 @@ int main(int Argc, char **Argv) {
 
     FullTotal += FullSecs;
     IncrTotal += Rep.Seconds;
+    if (I == 1)
+      TouchSpeedup = Rep.Seconds > 0 ? FullSecs / Rep.Seconds : 0;
     char FuncCol[16];
     if (I <= 1)
       std::snprintf(FuncCol, sizeof(FuncCol), "-");
@@ -181,13 +186,21 @@ int main(int Argc, char **Argv) {
     std::fflush(stdout);
   }
 
+  double Aggregate = IncrTotal > 0 ? FullTotal / IncrTotal : 0;
   std::printf("\n  total full %.3fs, total incremental %.3fs (%.1fx), "
               "steensgaard adopted %u/%u, mismatches %u\n",
-              FullTotal, IncrTotal,
-              IncrTotal > 0 ? FullTotal / IncrTotal : 0.0, Adoptions,
-              NumEdits + 2, Mismatches);
+              FullTotal, IncrTotal, Aggregate, Adoptions, NumEdits + 2,
+              Mismatches);
 
-  if (StatsJson)
+  if (StatsJson) {
     std::fputs(core::toStatsJson(LastIncr).c_str(), stdout);
+    std::printf("{\"ablation_incremental\": {\"scale\": %.2f, "
+                "\"functions\": %u, \"edits\": %u, \"mismatches\": %u, "
+                "\"touch_speedup\": %.2f, \"aggregate_speedup\": %.2f, "
+                "\"steensgaard_adopted\": %u, \"full_seconds\": %.4f, "
+                "\"incremental_seconds\": %.4f}}\n",
+                Scale, Cfg.NumFunctions, NumEdits, Mismatches, TouchSpeedup,
+                Aggregate, Adoptions, FullTotal, IncrTotal);
+  }
   return Mismatches ? 1 : 0;
 }

@@ -32,7 +32,7 @@ void core::detail::submitClusterJobOrThrow(ThreadPool &Pool,
 }
 
 BootstrapDriver::BootstrapDriver(const Program &P, BootstrapOptions Opts)
-    : Prog(P), Opts(std::move(Opts)), CG(P) {
+    : Prog(P), Opts(std::move(Opts)), CG(std::make_shared<CallGraph>(P)) {
   // Exact-program run keys and slice-cache keys embed the program
   // fingerprint; scope-keyed runs without a slice cache never read it.
   if (!this->Opts.ScopedSummaryKeys || this->Opts.RelevantSliceCache)
@@ -41,13 +41,21 @@ BootstrapDriver::BootstrapDriver(const Program &P, BootstrapOptions Opts)
 
 const analysis::SteensgaardAnalysis &BootstrapDriver::steensgaard() {
   if (!Steens) {
-    Steens = std::make_unique<analysis::SteensgaardAnalysis>(Prog);
+    Steens = std::make_shared<analysis::SteensgaardAnalysis>(Prog);
     if (Opts.AdoptSteensgaard)
       Steens->adoptSolutionFrom(*Opts.AdoptSteensgaard);
     else
       Steens->run();
+    if (Opts.ScopedSummaryKeys)
+      KeyTables = std::make_unique<ScopeKeyTables>(Prog, *Steens);
   }
   return *Steens;
+}
+
+std::shared_ptr<const analysis::SteensgaardAnalysis>
+BootstrapDriver::steensgaardPtr() {
+  steensgaard();
+  return Steens;
 }
 
 namespace {
@@ -287,7 +295,7 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
   // Recorded even without a cache so snapshots and the race checker
   // address this run by the same key.
   R.RunKey = Opts.ScopedSummaryKeys
-                 ? clusterScopeKey(Prog, CG, *Steens, C, Opts.EngineOpts)
+                 ? clusterScopeKey(*CG, *KeyTables, C, Opts.EngineOpts)
                  : fscs::clusterSummaryKey(ProgFP, C, Opts.EngineOpts);
   if (Opts.SummaryCache) {
     if (std::shared_ptr<const fscs::CachedClusterRun> Hit =
@@ -303,7 +311,7 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
     }
   }
 
-  fscs::ClusterAliasAnalysis AA(Prog, CG, *Steens, C, Opts.EngineOpts);
+  fscs::ClusterAliasAnalysis AA(Prog, *CG, *Steens, C, Opts.EngineOpts);
   AA.prepare();
   // Workload: the points-to set of every member pointer at its owning
   // function's exit (globals: at the entry function's exit).

@@ -29,6 +29,7 @@
 #include "analysis/Andersen.h"
 #include "analysis/Steensgaard.h"
 #include "core/Cluster.h"
+#include "core/ClusterDependencies.h"
 #include "core/RelevantStatements.h"
 #include "fscs/SummaryCache.h"
 #include "fscs/SummaryEngine.h"
@@ -127,9 +128,10 @@ struct BootstrapOptions {
   /// (fscs::clusterSummaryKey), cheap and valid for one program
   /// version -- what one-shot cascades need. True: the cluster's
   /// *dependency-scope* key (core/ClusterDependencies.h), which costs
-  /// more to derive but survives edits outside the cluster's
-  /// dependency cone -- what makes IncrementalDriver's re-analysis
-  /// incremental (it forces this on).
+  /// more to derive -- one ScopeKeyTables build per driver, then
+  /// O(|cone| + |relevant partitions|) per cluster -- but survives
+  /// edits outside the cluster's dependency cone: what makes
+  /// IncrementalDriver's re-analysis incremental (it forces this on).
   bool ScopedSummaryKeys = false;
 
   /// Solved Steensgaard instance (over a previous program version) to
@@ -232,8 +234,17 @@ class BootstrapDriver {
 public:
   BootstrapDriver(const ir::Program &P, BootstrapOptions Opts);
 
-  /// Stage 1: Steensgaard (memoized).
+  /// Stage 1: Steensgaard (memoized). With ScopedSummaryKeys this also
+  /// builds the version's scope-key tables, so they are ready before
+  /// any cluster job runs.
   const analysis::SteensgaardAnalysis &steensgaard();
+
+  /// Shared ownership of the Steensgaard solve (solving it first if
+  /// needed) and of the call graph. A query snapshot built over this
+  /// driver's program co-owns both instead of solving them again, and
+  /// keeps them alive after the driver is gone.
+  std::shared_ptr<const analysis::SteensgaardAnalysis> steensgaardPtr();
+  std::shared_ptr<const ir::CallGraph> callGraphPtr() const { return CG; }
 
   /// Stages 1-2(-3): the cluster cover per the options, slices
   /// attached. Timings land in the result of runAll() / in the fields
@@ -272,7 +283,7 @@ public:
   static double simulateParallel(const std::vector<ClusterRunResult> &Rs,
                                  uint32_t Parts);
 
-  const ir::CallGraph &callGraph() const { return CG; }
+  const ir::CallGraph &callGraph() const { return *CG; }
 
   double andersenClusteringSeconds() const { return AndersenSeconds; }
   double oneFlowSeconds() const { return OneFlowSecs; }
@@ -288,8 +299,10 @@ private:
 
   const ir::Program &Prog;
   BootstrapOptions Opts;
-  ir::CallGraph CG;
-  std::unique_ptr<analysis::SteensgaardAnalysis> Steens;
+  std::shared_ptr<const ir::CallGraph> CG;
+  std::shared_ptr<analysis::SteensgaardAnalysis> Steens;
+  /// Scope-key inputs of this version (ScopedSummaryKeys only).
+  std::unique_ptr<ScopeKeyTables> KeyTables;
   double AndersenSeconds = 0;
   double OneFlowSecs = 0;
   /// Program content fingerprint for exact-program run keys and slice

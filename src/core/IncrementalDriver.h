@@ -98,6 +98,16 @@ public:
   /// commits a new version.
   std::shared_ptr<const ir::Program> programPtr() const { return Prog; }
 
+  /// The current version's Steensgaard solve and call graph, shared
+  /// with the driver that analyzed it: query snapshots co-own them
+  /// instead of solving again. Precondition: hasVersion().
+  std::shared_ptr<const analysis::SteensgaardAnalysis> steensgaardPtr() const {
+    return Driver->steensgaardPtr();
+  }
+  std::shared_ptr<const ir::CallGraph> callGraphPtr() const {
+    return Driver->callGraphPtr();
+  }
+
   /// The cluster cover the latest update() analyzed, aligned
   /// index-for-index with lastResult().Clusters.
   const std::vector<Cluster> &lastCover() const { return Cover; }

@@ -134,9 +134,9 @@ AliasService::AliasService(core::BootstrapOptions BOpts, QueryOptions QOptsIn)
 core::UpdateReport AliasService::update(std::unique_ptr<ir::Program> NewProg) {
   core::UpdateReport Report;
   const core::BootstrapResult &R = Inc.update(std::move(NewProg), &Report);
-  Engine.publish(QuerySnapshot::build(Inc.programPtr(), Inc.lastCover(),
-                                      &R.Clusters, QOpts,
-                                      Inc.options().SummaryCache));
+  Engine.publish(QuerySnapshot::build(
+      Inc.programPtr(), Inc.steensgaardPtr(), Inc.callGraphPtr(),
+      Inc.lastCover(), &R.Clusters, QOpts, Inc.options().SummaryCache));
   if (OnPublish)
     OnPublish(Report, Engine.snapshot());
   return Report;

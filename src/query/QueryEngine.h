@@ -22,7 +22,8 @@
 ///    chunked so each worker grabs the snapshot pointer once.
 ///  * AliasService glues core::IncrementalDriver to the engine:
 ///    update(program) re-analyzes incrementally, builds a fresh
-///    snapshot from the driver's retained cover/results/caches, and
+///    snapshot from the driver's retained cover/results/caches and its
+///    Steensgaard solve and call graph (shared, not re-solved), and
 ///    publishes it.
 ///
 //===----------------------------------------------------------------------===//

@@ -70,21 +70,38 @@ QuerySnapshot::build(std::shared_ptr<const ir::Program> P,
                      QueryOptions Opts,
                      std::shared_ptr<fscs::SummaryCache> Cache) {
   assert(P && "snapshot needs a program");
-  assert(Runs && "snapshot needs the cascade's per-cluster results");
-  return std::shared_ptr<const QuerySnapshot>(
-      new QuerySnapshot(std::move(P), std::move(Cover), Runs,
-                        std::move(Opts), std::move(Cache)));
+  auto Steens = std::make_shared<analysis::SteensgaardAnalysis>(*P);
+  Steens->run();
+  auto CG = std::make_shared<const ir::CallGraph>(*P);
+  return build(std::move(P), std::move(Steens), std::move(CG),
+               std::move(Cover), Runs, std::move(Opts), std::move(Cache));
 }
 
-QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
-                             std::vector<core::Cluster> CoverIn,
-                             const std::vector<core::ClusterRunResult> *Runs,
-                             QueryOptions OptsIn,
-                             std::shared_ptr<fscs::SummaryCache> CacheIn)
-    : Prog(std::move(P)), Cover(std::move(CoverIn)), Opts(std::move(OptsIn)),
-      Cache(std::move(CacheIn)), CG(*Prog), Steens(*Prog) {
-  Steens.run();
+std::shared_ptr<const QuerySnapshot>
+QuerySnapshot::build(std::shared_ptr<const ir::Program> P,
+                     std::shared_ptr<const analysis::SteensgaardAnalysis> Steens,
+                     std::shared_ptr<const ir::CallGraph> CG,
+                     std::vector<core::Cluster> Cover,
+                     const std::vector<core::ClusterRunResult> *Runs,
+                     QueryOptions Opts,
+                     std::shared_ptr<fscs::SummaryCache> Cache) {
+  assert(P && Steens && CG && "snapshot needs a program and its solves");
+  assert(Runs && "snapshot needs the cascade's per-cluster results");
+  return std::shared_ptr<const QuerySnapshot>(new QuerySnapshot(
+      std::move(P), std::move(Steens), std::move(CG), std::move(Cover), Runs,
+      std::move(Opts), std::move(Cache)));
+}
 
+QuerySnapshot::QuerySnapshot(
+    std::shared_ptr<const ir::Program> P,
+    std::shared_ptr<const analysis::SteensgaardAnalysis> SteensIn,
+    std::shared_ptr<const ir::CallGraph> CGIn,
+    std::vector<core::Cluster> CoverIn,
+    const std::vector<core::ClusterRunResult> *Runs, QueryOptions OptsIn,
+    std::shared_ptr<fscs::SummaryCache> CacheIn)
+    : Prog(std::move(P)), Cover(std::move(CoverIn)), Opts(std::move(OptsIn)),
+      Cache(std::move(CacheIn)), CG(std::move(CGIn)),
+      Steens(std::move(SteensIn)) {
   // Inverted pointer -> cluster index. Cluster ids are appended in
   // ascending order, so every per-variable list comes out sorted.
   VarClusters.resize(Prog->numVars());
@@ -157,7 +174,7 @@ QuerySnapshot::materialize(uint32_t ClusterIdx) const {
   std::lock_guard<std::mutex> Lock(E->M);
   if (!E->AA) {
     auto AA = std::make_unique<fscs::ClusterAliasAnalysis>(
-        *Prog, CG, Steens, Cover[ClusterIdx], Opts.EngineOpts);
+        *Prog, *CG, *Steens, Cover[ClusterIdx], Opts.EngineOpts);
     NumMaterializations.fetch_add(1, std::memory_order_relaxed);
     bool Adopted = false;
     if (Cache) {
@@ -331,7 +348,7 @@ AliasAnswer QuerySnapshot::fallbackMayAlias(ir::VarId A, ir::VarId B) const {
     Ans.MayAlias = andersen().mayAlias(A, B);
     Ans.Source = AnswerSource::Andersen;
   } else {
-    Ans.MayAlias = Steens.mayAlias(A, B);
+    Ans.MayAlias = Steens->mayAlias(A, B);
     Ans.Source = AnswerSource::Steensgaard;
   }
   countAnswer(Ans.Source);
@@ -498,7 +515,7 @@ PointsToAnswer QuerySnapshot::pointsToAt(ir::VarId V, ir::LocId Loc) const {
       mergeSortedUnique(Ans.Objects, andersen().pointsToVars(V));
       Ans.Source = AnswerSource::Andersen;
     } else {
-      mergeSortedUnique(Ans.Objects, Steens.pointsToVars(V));
+      mergeSortedUnique(Ans.Objects, Steens->pointsToVars(V));
       Ans.Source = AnswerSource::Steensgaard;
     }
     Ans.Complete = false;

@@ -26,8 +26,10 @@
 ///    over-approximates the one before it, so answers remain sound --
 ///    only precision degrades.
 ///
-/// A snapshot owns everything it reads (program via shared_ptr, its own
-/// Steensgaard/CallGraph solves, a copy of the cover), so it stays
+/// A snapshot owns everything it reads (a copy of the cover; the
+/// program, Steensgaard solve and call graph via shared_ptr -- shared
+/// with the driver that analyzed the version when AliasService
+/// publishes, solved by the snapshot itself otherwise), so it stays
 /// valid after the producing driver moves to a newer program version.
 /// All query methods are const and thread-safe.
 ///
@@ -187,8 +189,21 @@ public:
   /// BudgetHit/Approximated serving flags and each cluster's RunKey.
   /// \p Cache, when non-null, lets materialization replay the
   /// cascade's memoized per-cluster runs under those keys.
+  /// Solves Steensgaard and builds the call graph over \p P itself.
   static std::shared_ptr<const QuerySnapshot>
   build(std::shared_ptr<const ir::Program> P,
+        std::vector<core::Cluster> Cover,
+        const std::vector<core::ClusterRunResult> *Runs, QueryOptions Opts,
+        std::shared_ptr<fscs::SummaryCache> Cache = nullptr);
+
+  /// Same, co-owning a Steensgaard solve and call graph of \p P that the
+  /// caller already has -- the analyzing driver's
+  /// (core::BootstrapDriver::steensgaardPtr / callGraphPtr) -- instead
+  /// of computing them again. Both must be over \p P itself.
+  static std::shared_ptr<const QuerySnapshot>
+  build(std::shared_ptr<const ir::Program> P,
+        std::shared_ptr<const analysis::SteensgaardAnalysis> Steens,
+        std::shared_ptr<const ir::CallGraph> CG,
         std::vector<core::Cluster> Cover,
         const std::vector<core::ClusterRunResult> *Runs, QueryOptions Opts,
         std::shared_ptr<fscs::SummaryCache> Cache = nullptr);
@@ -235,10 +250,11 @@ public:
     return RunKeys[Idx];
   }
 
-  /// The snapshot's own call graph -- for clients that derive
-  /// invalidation data over the same inputs serving reads (e.g. the
-  /// race checker's dependency cones).
-  const ir::CallGraph &callGraph() const { return CG; }
+  /// The call graph and Steensgaard solve serving reads -- for clients
+  /// that derive invalidation data over the same inputs (e.g. the race
+  /// checker's dependency cones).
+  const ir::CallGraph &callGraph() const { return *CG; }
+  const analysis::SteensgaardAnalysis &steensgaard() const { return *Steens; }
   SnapshotStats stats() const;
 
   /// Blocks until no scheduled background promotion is outstanding.
@@ -259,6 +275,8 @@ public:
 
 private:
   QuerySnapshot(std::shared_ptr<const ir::Program> P,
+                std::shared_ptr<const analysis::SteensgaardAnalysis> SteensIn,
+                std::shared_ptr<const ir::CallGraph> CGIn,
                 std::vector<core::Cluster> CoverIn,
                 const std::vector<core::ClusterRunResult> *Runs,
                 QueryOptions OptsIn,
@@ -311,8 +329,8 @@ private:
   QueryOptions Opts;
   std::shared_ptr<fscs::SummaryCache> Cache;
 
-  ir::CallGraph CG;
-  analysis::SteensgaardAnalysis Steens;
+  std::shared_ptr<const ir::CallGraph> CG;
+  std::shared_ptr<const analysis::SteensgaardAnalysis> Steens;
 
   /// Inverted index: VarId -> sorted cluster ids containing it.
   std::vector<std::vector<uint32_t>> VarClusters;

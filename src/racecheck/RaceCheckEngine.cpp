@@ -263,22 +263,20 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
       if (P.findFunction(Name) != InvalidFunc)
         Edited.insert(P.findFunction(Name));
     std::set<FuncId> Invalidated = Edited;
+    // Any one touched lock cluster invalidates every lock-site function,
+    // so the scan stops at the first.
     if (!Edited.empty()) {
-      for (uint32_t CI : LockClusterIdxs) {
-        std::vector<FuncId> Cone =
-            core::dependentFunctions(P, CG, S.cover()[CI]);
-        bool Touched = false;
-        for (FuncId F : Cone)
-          if (Edited.count(F)) {
-            Touched = true;
-            break;
-          }
-        if (!Touched)
-          continue;
+      auto Touched = [&](uint32_t CI) {
+        for (FuncId F : core::dependentFunctions(P, CG, S.cover()[CI]))
+          if (Edited.count(F))
+            return true;
+        return false;
+      };
+      if (std::any_of(LockClusterIdxs.begin(), LockClusterIdxs.end(),
+                      Touched))
         for (FuncId F = 0; F < P.numFuncs(); ++F)
           if (!SitesByFunc[F].empty())
             Invalidated.insert(F);
-      }
     }
     CR.PredictedInvalidated = static_cast<uint32_t>(Invalidated.size());
   }

@@ -13,6 +13,7 @@
 #include "core/IncrementalDriver.h"
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
+#include "ir/Fingerprint.h"
 #include "support/Statistics.h"
 #include "workload/ProgramGenerator.h"
 
@@ -24,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 using namespace bsaa;
 using namespace bsaa::core;
@@ -340,6 +342,150 @@ TEST(ClusterDependencies, ScopeKeysSurviveAnAppendEdit) {
   }
   // Every pre-existing cluster must have survived and matched.
   EXPECT_EQ(Matched, Cover0.size());
+}
+
+TEST(ClusterDependencies, TableKeysMatchTheWrapperAndAgreeAcrossDrivers) {
+  workload::GeneratorConfig Cfg = editableConfig(10);
+  workload::EditState St = workload::initialEditState(Cfg);
+  auto P = compileVersion(Cfg, St);
+  BootstrapOptions Opts = baseOptions();
+  Opts.ScopedSummaryKeys = true;
+
+  // The driver derives every run key from its per-version tables.
+  BootstrapDriver D0(*P, Opts), D1(*P, Opts);
+  std::vector<Cluster> Cover0 = D0.buildCover();
+  std::vector<Cluster> Cover1 = D1.buildCover();
+  BootstrapResult R0 = D0.runAll(Cover0);
+  BootstrapResult R1 = D1.runAll(Cover1);
+  ASSERT_EQ(R0.Clusters.size(), Cover0.size());
+  ASSERT_EQ(R1.Clusters.size(), R0.Clusters.size());
+  ASSERT_FALSE(Cover0.empty());
+  for (size_t I = 0; I < Cover0.size(); ++I) {
+    support::Digest Wrapped = clusterScopeKey(*P, D0.callGraph(),
+                                              D0.steensgaard(), Cover0[I],
+                                              Opts.EngineOpts);
+    EXPECT_EQ(R0.Clusters[I].RunKey, Wrapped) << "cluster " << I;
+    // A second, independently solved driver over the same program.
+    EXPECT_EQ(R1.Clusters[I].RunKey, R0.Clusters[I].RunKey) << "cluster " << I;
+  }
+}
+
+TEST(ClusterDependencies, AdoptedMutateKeepsEveryKeyOutsideTheEditedCone) {
+  // A mutate edit (same statement shape, new operands) to `pick` that
+  // touches no unification-relevant statement: it re-draws a branch
+  // condition, so the Steensgaard adoption gate holds and every id stays
+  // put. (Generated mutate streams re-draw copies too, which re-solves.)
+  const char *Before = R"(
+    int x; int y; int z;
+    int *g1;
+    int *pick(int *a, int *b, int c, int d, int e) {
+      int *r;
+      if (c == d) { r = a; } else { r = b; }
+      return r;
+    }
+    void other(void) {
+      int *s; int *t;
+      s = &z;
+      t = s;
+    }
+    void main(void) {
+      int *p; int *q; int c; int d; int e;
+      p = &x;
+      q = &y;
+      g1 = pick(p, q, c, d, e);
+      other();
+    }
+  )";
+  std::string After = Before;
+  After.replace(After.find("if (c == d)"), 11, "if (c == e)");
+  auto P0 = compileOk(Before);
+  auto P1 = compileOk(After);
+  ASSERT_EQ(ir::partitionRelevantFingerprint(*P0),
+            ir::partitionRelevantFingerprint(*P1));
+  ir::FuncId Edited = P1->findFunction("pick");
+  ASSERT_NE(Edited, ir::InvalidFunc);
+  ASSERT_NE(ir::functionFingerprint(*P0, Edited),
+            ir::functionFingerprint(*P1, Edited));
+
+  BootstrapOptions Opts = baseOptions();
+  Opts.AndersenThreshold = 1;
+  BootstrapDriver D0(*P0, Opts);
+  const analysis::SteensgaardAnalysis &S0 = D0.steensgaard();
+  BootstrapOptions AdoptOpts = Opts;
+  AdoptOpts.AdoptSteensgaard = &S0;
+  BootstrapDriver D1(*P1, AdoptOpts);
+  const analysis::SteensgaardAnalysis &S1 = D1.steensgaard();
+  std::vector<Cluster> Cover0 = D0.buildCover();
+  std::vector<Cluster> Cover1 = D1.buildCover();
+  ScopeKeyTables T0(*P0, S0), T1(*P1, S1);
+
+  std::map<std::vector<ir::VarId>, support::Digest> Keys0;
+  for (const Cluster &C : Cover0)
+    Keys0.emplace(C.Members,
+                  clusterScopeKey(D0.callGraph(), T0, C, Opts.EngineOpts));
+  uint32_t Kept = 0, Changed = 0;
+  for (const Cluster &C : Cover1) {
+    auto It = Keys0.find(C.Members);
+    if (It == Keys0.end())
+      continue;
+    support::Digest K1 =
+        clusterScopeKey(D1.callGraph(), T1, C, Opts.EngineOpts);
+    std::vector<ir::FuncId> Cone = dependentFunctions(*P1, D1.callGraph(), C);
+    if (std::find(Cone.begin(), Cone.end(), Edited) == Cone.end()) {
+      EXPECT_EQ(It->second, K1)
+          << "a cluster whose cone excludes the edit lost its key";
+      ++Kept;
+    } else if (It->second != K1) {
+      ++Changed;
+    }
+  }
+  EXPECT_GT(Kept, 0u);
+  EXPECT_GT(Changed, 0u) << "no cluster over the edited function re-keyed";
+}
+
+TEST(ClusterDependencies, StubShiftedIdsChangeEveryKeyWhoseScopeHoldsThem) {
+  workload::GeneratorConfig Cfg = editableConfig(10);
+  Cfg.StmtsPerFunction = 10;
+  workload::EditState St = workload::initialEditState(Cfg);
+  auto P0 = compileVersion(Cfg, St);
+  workload::applyEdit(St, {workload::EditKind::Stub, /*Function=*/3});
+  auto P1 = compileVersion(Cfg, St);
+
+  BootstrapOptions Opts = baseOptions();
+  BootstrapDriver D0(*P0, Opts), D1(*P1, Opts);
+  ScopeKeyTables T0(*P0, D0.steensgaard()), T1(*P1, D1.steensgaard());
+  std::vector<Cluster> Cover0 = D0.buildCover();
+  std::vector<Cluster> Cover1 = D1.buildCover();
+  std::set<std::pair<uint64_t, uint64_t>> Keys0;
+  for (const Cluster &C : Cover0) {
+    support::Digest K =
+        clusterScopeKey(D0.callGraph(), T0, C, Opts.EngineOpts);
+    Keys0.insert({K.Hi, K.Lo});
+  }
+
+  // A function holds a shifted id when its signature or location ids
+  // differ from its namesake's in the previous version.
+  auto Shifted = [&](ir::FuncId F) {
+    const ir::Function &New = P1->func(F);
+    ir::FuncId OldF = P0->findFunction(New.Name);
+    if (OldF == ir::InvalidFunc)
+      return true;
+    const ir::Function &Old = P0->func(OldF);
+    return Old.Locations != New.Locations || Old.Params != New.Params ||
+           Old.RetVal != New.RetVal || Old.Entry != New.Entry;
+  };
+  uint32_t ShiftedScopes = 0;
+  for (const Cluster &C : Cover1) {
+    std::vector<ir::FuncId> Cone = dependentFunctions(*P1, D1.callGraph(), C);
+    if (std::none_of(Cone.begin(), Cone.end(), Shifted))
+      continue;
+    ++ShiftedScopes;
+    support::Digest K =
+        clusterScopeKey(D1.callGraph(), T1, C, Opts.EngineOpts);
+    EXPECT_EQ(Keys0.count({K.Hi, K.Lo}), 0u)
+        << "a scope holding shifted ids kept a previous version's key";
+  }
+  EXPECT_GT(ShiftedScopes, 0u);
 }
 
 TEST(ClusterDependencies, IndexCoversEveryClusterThroughItsCone) {

@@ -387,6 +387,75 @@ TEST(QueryCache, MaterializationAdoptsTheCascadesSummaryRuns) {
 }
 
 //===--------------------------------------------------------------------===//
+// Shared solves
+//===--------------------------------------------------------------------===//
+
+TEST(QuerySharing, PublishedSnapshotCoOwnsTheDriversSolves) {
+  workload::GeneratorConfig Cfg;
+  Cfg.Seed = 42;
+  Cfg.NumFunctions = 8;
+  Cfg.StmtsPerFunction = 8;
+  Cfg.Communities = 3;
+  Cfg.PointerFunctionPercent = 60;
+  Cfg.RecursionPercent = 0;
+  auto Compile = [&Cfg](const workload::EditState &State) {
+    frontend::Diagnostics Diags;
+    std::unique_ptr<ir::Program> Q =
+        frontend::compileString(workload::generateProgram(Cfg, State), Diags);
+    EXPECT_TRUE(Q != nullptr) << Diags.toString();
+    return Q;
+  };
+  core::BootstrapOptions BOpts;
+  BOpts.AndersenThreshold = 4;
+  query::AliasService Service(BOpts);
+  workload::EditState State = workload::initialEditState(Cfg);
+  Service.update(Compile(State));
+
+  // The published snapshot reads the analyzing driver's own Steensgaard
+  // solve and call graph; nothing is solved twice.
+  std::shared_ptr<const QuerySnapshot> Held = Service.engine().snapshot();
+  ASSERT_TRUE(Held != nullptr);
+  EXPECT_EQ(&Held->steensgaard(), Service.driver().steensgaardPtr().get());
+  EXPECT_EQ(&Held->callGraph(), Service.driver().callGraphPtr().get());
+
+  const ir::Program &P = Held->program();
+  std::vector<ir::VarId> Ptrs = pointerVars(P);
+  ASSERT_FALSE(Ptrs.empty());
+  auto Answers = [&] {
+    std::vector<std::pair<bool, AnswerSource>> Out;
+    for (size_t I = 0; I < Ptrs.size(); ++I)
+      for (size_t J = I + 1; J < Ptrs.size(); ++J) {
+        AliasAnswer A = Held->mayAlias(Ptrs[I], Ptrs[J]);
+        Out.push_back({A.MayAlias, A.Source});
+      }
+    return Out;
+  };
+  auto PointsTo = [&] {
+    std::vector<std::vector<ir::VarId>> Out;
+    for (ir::VarId V : Ptrs)
+      Out.push_back(
+          Held->pointsToAt(V, query::canonicalAliasLoc(P, V, V)).Objects);
+    return Out;
+  };
+  auto Before = Answers();
+  auto PtsBefore = PointsTo();
+
+  // Two further versions: a touch, whose driver adopts the held
+  // snapshot's Steensgaard solve, then a mutate. Both replace the
+  // driver that produced the held snapshot.
+  Service.update(Compile(State));
+  workload::applyEdit(State, {workload::EditKind::Mutate, /*Function=*/2});
+  Service.update(Compile(State));
+  std::shared_ptr<const QuerySnapshot> Latest = Service.engine().snapshot();
+  EXPECT_NE(&Latest->steensgaard(), &Held->steensgaard());
+  EXPECT_EQ(&Latest->steensgaard(), Service.driver().steensgaardPtr().get());
+
+  // The held snapshot still owns what it reads and answers as before.
+  EXPECT_EQ(Answers(), Before);
+  EXPECT_EQ(PointsTo(), PtsBefore);
+}
+
+//===--------------------------------------------------------------------===//
 // Batched evaluation
 //===--------------------------------------------------------------------===//
 
